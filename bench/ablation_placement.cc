@@ -35,7 +35,6 @@ int main() {
     auto mcu = PlatformBuilder().WithContinuousPower().Build();
     ArtemisConfig config;
     config.placement = placement;
-    config.kernel.record_trace = false;
     auto runtime = ArtemisRuntime::Create(&run_app.graph, HealthAppSpec(), mcu.get(), config);
     if (!runtime.ok()) {
       std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());

@@ -10,7 +10,7 @@
 // while transmitting stale acceleration data.
 //
 // The timekeeper axis of one sweep grid, with a post_run hook auditing each
-// point's execution trace against omniscient (true) time.
+// point's bus events against omniscient (true) time.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -64,7 +64,6 @@ int main() {
   grid.charges = {ChargeTime(6)};
   grid.budgets = {kOnBudgetUj};
   grid.max_wall = 8 * kHour;
-  grid.record_trace = true;
   // Audit the trace with omniscient (true) time: every committed `send` on
   // path #2 whose true distance from the last accel completion exceeds the
   // 5-minute window is a stale transmission the monitor failed to stop.
@@ -74,17 +73,17 @@ int main() {
     double stale_sends = 0;
     SimTime last_accel_end_true = 0;
     bool accel_seen = false;
-    for (const TraceRecord& r : artifacts.artemis->kernel().trace().records()) {
-      if (r.kind == TraceKind::kViolation && r.detail.find("MITD") != std::string::npos) {
+    for (const obs::Event& e : *artifacts.events) {
+      if (e.kind == obs::Kind::kViolation && e.detail.find("MITD") != std::string::npos) {
         ++mitd_violations;
       }
-      if (r.kind == TraceKind::kTaskEnd && r.task == app.accel) {
-        last_accel_end_true = r.true_time;
+      if (e.kind == obs::Kind::kTaskEnd && e.task == app.accel) {
+        last_accel_end_true = e.true_time;
         accel_seen = true;
       }
-      if (r.kind == TraceKind::kTaskEnd && r.task == app.send && r.path == app.path_resp &&
+      if (e.kind == obs::Kind::kTaskEnd && e.task == app.send && e.path == app.path_resp &&
           accel_seen) {
-        const SimDuration true_age = r.true_time - last_accel_end_true;
+        const SimDuration true_age = e.true_time - last_accel_end_true;
         if (true_age > 5 * kMinute) {
           ++stale_sends;
         }

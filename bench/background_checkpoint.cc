@@ -69,7 +69,6 @@ int main() {
   NullChecker checker;
   KernelOptions options;
   options.max_wall_time = 4 * kHour;
-  options.record_trace = false;
   IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
   const KernelRunResult result = kernel.Run();
   std::printf("task-based kernel, same workload at 4-block task granularity, 1.5 mJ:\n");

@@ -43,10 +43,9 @@ struct RunOutput {
 
 // Runs the health app under ARTEMIS on the given power model. When
 // `observer` is set, the sim/kernel/monitor layers publish into it
-// (src/obs) — fig13/fig16 consume the exported event stream instead of the
-// kernel-local ExecutionTrace. When `artifact` is set (a pre-built shared
-// spec artifact, e.g. from a CompiledSpecCache), `spec_text` is ignored and
-// no parse/lower/compile work happens per run. Setup failures come back as
+// (src/obs) — fig13/fig16 consume that event stream. When `artifact` is
+// set (a pre-built shared spec artifact, e.g. from a CompiledSpecCache),
+// `spec_text` is ignored and no parse/lower/compile work happens per run. Setup failures come back as
 // a Status instead of killing the process, so sweep grids can report them
 // as error rows.
 inline StatusOr<RunOutput> RunArtemis(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
@@ -58,7 +57,6 @@ inline StatusOr<RunOutput> RunArtemis(std::unique_ptr<Mcu> mcu, SimDuration max_
   ArtemisConfig config;
   config.backend = backend;
   config.kernel.max_wall_time = max_wall;
-  config.kernel.record_trace = false;
   config.observer = observer;
   StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
       artifact != nullptr
@@ -79,7 +77,6 @@ inline StatusOr<RunOutput> RunMayfly(std::unique_ptr<Mcu> mcu, SimDuration max_w
   HealthApp app = BuildHealthApp();
   KernelOptions options;
   options.max_wall_time = max_wall;
-  options.record_trace = false;
   options.observer = observer;
   if (observer != nullptr) {
     mcu->set_observer(observer);

@@ -3,10 +3,9 @@
 // complete path #2 (each ending in an MITD violation at `send`), then the
 // path skip that lets the application finish through path #3.
 //
-// The timeline is read from the cross-layer observability bus (src/obs)
-// rather than the kernel-local ExecutionTrace — the same event stream
-// `artemisc trace` exports, so this printout and a Perfetto view of the
-// run agree by construction (docs/tracing.md).
+// The timeline is read from the cross-layer observability bus (src/obs) —
+// the same event stream `artemisc trace` exports, so this printout and a
+// Perfetto view of the run agree by construction (docs/tracing.md).
 #include <cstdio>
 
 #include "bench/bench_common.h"

@@ -273,7 +273,6 @@ void BM_HealthAppContinuousRun(benchmark::State& state) {
     HealthApp app = BuildHealthApp();
     auto mcu = PlatformBuilder().WithContinuousPower().Build();
     ArtemisConfig config;
-    config.kernel.record_trace = false;
     auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
     auto result = runtime.value()->Run();
     benchmark::DoNotOptimize(result);
@@ -287,7 +286,6 @@ void BM_HealthAppIntermittentRun(benchmark::State& state) {
     auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, 5 * kMinute).Build();
     ArtemisConfig config;
     config.kernel.max_wall_time = 8 * kHour;
-    config.kernel.record_trace = false;
     auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
     auto result = runtime.value()->Run();
     benchmark::DoNotOptimize(result);

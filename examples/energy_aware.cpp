@@ -11,6 +11,7 @@
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
+#include "src/obs/bus.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -51,17 +52,19 @@ Outcome RunWith(const char* spec) {
   // Deliberately undersized budget: the burst (6.6 mJ) barely fits the
   // 7 mJ on-period, so attempting it with a half-empty buffer power-fails.
   auto mcu = PlatformBuilder().WithFixedCharge(7'000.0, 10 * kSecond).Build();
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
+  config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());
     std::exit(1);
   }
   KernelRunResult result = runtime.value()->Run();
-  const std::size_t skips =
-      runtime.value()->kernel().trace().Count(TraceKind::kTaskSkipped);
-  return Outcome{std::move(result), skips};
+  return Outcome{std::move(result), events.Count(obs::Kind::kTaskSkipped)};
 }
 
 }  // namespace

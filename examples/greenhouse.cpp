@@ -9,6 +9,7 @@
 #include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
+#include "src/obs/bus.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -24,7 +25,11 @@ int main() {
           .WithCapacitor(cap, std::make_unique<PulseHarvester>(4.0, 3 * kSecond, 1 * kSecond))
           .Build();
 
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
+  config.observer = &bus;
   config.kernel.max_wall_time = 30 * kMinute;
   auto runtime = ArtemisRuntime::Create(&app.graph, GreenhouseSpec(), mcu.get(), config);
   if (!runtime.ok()) {
@@ -38,7 +43,7 @@ int main() {
     names.push_back(app.graph.TaskName(t));
   }
   std::printf("== greenhouse on capacitor + pulsed harvester ==\n");
-  std::printf("%s\n", runtime.value()->kernel().trace().ToString(names).c_str());
+  std::printf("%s\n", obs::RenderTimeline(events.events(), names).c_str());
   std::printf("completed=%s reboots=%llu wall=%s energy=%s\n",
               result.completed ? "yes" : "no",
               static_cast<unsigned long long>(result.stats.reboots),

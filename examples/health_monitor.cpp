@@ -11,6 +11,7 @@
 #include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
+#include "src/obs/bus.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -28,7 +29,11 @@ int main(int argc, char** argv) {
                                1 * kSecond)
           .Build();
 
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
+  config.observer = &bus;
   config.kernel.max_wall_time = 4 * kHour;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   if (!runtime.ok()) {
@@ -46,7 +51,7 @@ int main(int argc, char** argv) {
     names.push_back(app.graph.TaskName(t));
   }
   std::printf("== health monitor, %d min charging ==\n", minutes);
-  std::printf("%s\n", runtime.value()->kernel().trace().ToString(names).c_str());
+  std::printf("%s\n", obs::RenderTimeline(events.events(), names).c_str());
   std::printf("completed=%s reboots=%llu wall=%s energy=%s\n",
               result.completed ? "yes" : "NO (non-termination)",
               static_cast<unsigned long long>(result.stats.reboots),

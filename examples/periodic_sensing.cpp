@@ -10,6 +10,7 @@
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
+#include "src/obs/bus.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -41,7 +42,11 @@ int main() {
   // the 9 s recharge blows the 6 s cadence budget for the next round.
   auto mcu = PlatformBuilder().WithFixedCharge(195.0, 9 * kSecond).Build();
 
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
+  config.observer = &bus;
   config.kernel.app_iterations = 12;             // A dozen sampling rounds.
   config.kernel.inter_iteration_gap = 4 * kSecond;  // Duty-cycle sleep.
   config.kernel.max_wall_time = kHour;
@@ -53,8 +58,8 @@ int main() {
   const KernelRunResult result = runtime.value()->Run();
 
   int period_violations = 0;
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    if (r.kind == TraceKind::kViolation && r.detail.find("period") != std::string::npos) {
+  for (const obs::Event& e : events.events()) {
+    if (e.kind == obs::Kind::kViolation && e.detail.find("period") != std::string::npos) {
       ++period_violations;
     }
   }

@@ -12,6 +12,7 @@
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/kernel/channel.h"
+#include "src/obs/bus.h"
 
 using namespace artemis;  // Example code; library code never does this.
 
@@ -47,8 +48,13 @@ int main() {
       PlatformBuilder().WithFixedCharge(/*on_budget=*/5'000.0, /*charge_time=*/3 * kSecond)
           .Build();
 
-  // 4. Assemble and run.
-  auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get());
+  // 4. Assemble and run, collecting the runtime's events for the timeline.
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
+  ArtemisConfig config;
+  config.observer = &bus;
+  auto runtime = ArtemisRuntime::Create(&graph, spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", runtime.status().ToString().c_str());
     return 1;
@@ -61,6 +67,6 @@ int main() {
               FormatDuration(result.finished_at).c_str());
   std::printf("energy: %s\n", FormatEnergy(result.stats.TotalEnergy()).c_str());
   std::printf("\nexecution trace:\n%s",
-              runtime.value()->kernel().trace().ToString({"sense", "transmit"}).c_str());
+              obs::RenderTimeline(events.events(), {"sense", "transmit"}).c_str());
   return result.completed ? 0 : 1;
 }

@@ -7,9 +7,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/apps/ar_app.h"
-#include "src/apps/greenhouse_app.h"
-#include "src/apps/health_app.h"
+#include "src/base/json.h"
 #include "src/base/thread_pool.h"
 #include "src/monitor/arbitration.h"
 #include "src/monitor/compiled_batch.h"
@@ -17,43 +15,6 @@
 
 namespace artemis::fleet {
 namespace {
-
-StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
-  if (app == "health") {
-    return HealthAppSpec();
-  }
-  if (app == "greenhouse") {
-    return GreenhouseSpec();
-  }
-  if (app == "ar") {
-    return ArAppSpec();
-  }
-  return Status::Invalid("fleet: unknown app '" + app + "' (health|greenhouse|ar)");
-}
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 std::string U64(std::uint64_t v) {
   char buf[32];
@@ -623,14 +584,13 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     return Status::Invalid("fleet: tile must be >= 1");
   }
 
-  std::string spec_text = spec.spec_text;
-  if (spec_text.empty()) {
-    StatusOr<std::string> fallback = DefaultSpecForApp(spec.app);
-    if (!fallback.ok()) {
-      return fallback.status();
-    }
-    spec_text = std::move(fallback).value();
+  // Validates the app name even when an explicit spec replaces its default.
+  StatusOr<std::string> default_spec = sweep::DefaultSpecForApp(spec.app);
+  if (!default_spec.ok()) {
+    return default_spec.status();
   }
+  const std::string spec_text =
+      spec.spec_text.empty() ? std::move(default_spec).value() : spec.spec_text;
 
   // One pipeline run for the whole fleet: parse/validate/lower/compile
   // against a template graph, shared read-only across every shard.

@@ -186,7 +186,6 @@ DeviceResult DeviceInstance::RunScalar() {
   config.kernel.max_wall_time = config_.horizon;
   config.kernel.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
   config.kernel.max_steps = config_.max_steps;
-  config.kernel.record_trace = false;  // host memory; a fleet never wants it
   config.observer = observer;
   StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
       ArtemisRuntime::CreateFromArtifact(&graph, ctx_.artifact, mcu.get(), config);
@@ -228,7 +227,6 @@ DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
   options.max_wall_time = config_.horizon;
   options.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
   options.max_steps = config_.max_steps;
-  options.record_trace = false;
   options.observer = observer;
   IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
   const KernelRunResult run = kernel.Run();

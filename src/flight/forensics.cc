@@ -6,7 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "src/obs/jsonl_sink.h"
+#include "src/base/json.h"
 
 namespace artemis::flight {
 
@@ -66,16 +66,16 @@ std::string RenderDumpJsonl(const std::vector<FlightRecord>& records,
   std::ostringstream out;
   out << "{\"schema\":\"" << kFlightSchema << "\"";
   if (!meta.app.empty()) {
-    out << ",\"app\":\"" << obs::JsonEscape(meta.app) << "\"";
+    out << ",\"app\":\"" << JsonEscape(meta.app) << "\"";
   }
   if (!meta.power.empty()) {
-    out << ",\"power\":\"" << obs::JsonEscape(meta.power) << "\"";
+    out << ",\"power\":\"" << JsonEscape(meta.power) << "\"";
   }
   if (!meta.schedule.empty()) {
-    out << ",\"schedule\":\"" << obs::JsonEscape(meta.schedule) << "\"";
+    out << ",\"schedule\":\"" << JsonEscape(meta.schedule) << "\"";
   }
   if (!meta.backend.empty()) {
-    out << ",\"backend\":\"" << obs::JsonEscape(meta.backend) << "\"";
+    out << ",\"backend\":\"" << JsonEscape(meta.backend) << "\"";
   }
   out << ",\"level\":\"" << meta.level << "\""
       << ",\"capacity\":" << meta.capacity << ",\"reboots\":" << meta.reboots
@@ -88,7 +88,7 @@ std::string RenderDumpJsonl(const std::vector<FlightRecord>& records,
   if (!meta.task_names.empty()) {
     out << ",\"tasks\":[";
     for (std::size_t i = 0; i < meta.task_names.size(); ++i) {
-      out << (i == 0 ? "" : ",") << "\"" << obs::JsonEscape(meta.task_names[i]) << "\"";
+      out << (i == 0 ? "" : ",") << "\"" << JsonEscape(meta.task_names[i]) << "\"";
     }
     out << "]";
   }
@@ -102,20 +102,20 @@ std::string RenderDumpJsonl(const std::vector<FlightRecord>& records,
         break;
       case RecordKind::kTaskStart:
         out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << obs::JsonEscape(TaskName(meta, r.task)) << "\",\"path\":" << r.path
+            << JsonEscape(TaskName(meta, r.task)) << "\",\"path\":" << r.path
             << ",\"attempt\":" << r.attempt;
         break;
       case RecordKind::kTaskEnd:
         out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << obs::JsonEscape(TaskName(meta, r.task)) << "\",\"path\":" << r.path;
+            << JsonEscape(TaskName(meta, r.task)) << "\",\"path\":" << r.path;
         break;
       case RecordKind::kCommit:
         out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << obs::JsonEscape(TaskName(meta, r.task)) << "\",\"bytes\":" << r.bytes;
+            << JsonEscape(TaskName(meta, r.task)) << "\",\"bytes\":" << r.bytes;
         break;
       case RecordKind::kVerdict:
         out << ",\"seq\":" << r.seq << ",\"task\":" << r.task << ",\"name\":\""
-            << obs::JsonEscape(TaskName(meta, r.task)) << "\",\"action\":\""
+            << JsonEscape(TaskName(meta, r.task)) << "\",\"action\":\""
             << ActionCodeName(r.action) << "\",\"target_path\":" << r.target_path;
         break;
       case RecordKind::kChargeSnapshot:

@@ -47,58 +47,33 @@ TaskId IntermittentKernel::current_task() const {
   return task_idx_ < path.size() ? path[task_idx_] : kInvalidTask;
 }
 
-void IntermittentKernel::Trace(TraceKind kind, TaskId task, ActionType action,
-                               const std::string& detail) {
-  if (options_.record_trace) {
-    trace_.Record(TraceRecord{.kind = kind,
-                              .time = mcu_->Now(),
-                              .true_time = mcu_->TrueNow(),
-                              .task = task,
-                              .path = static_cast<PathId>(path_idx_ + 1),
-                              .attempt = cur_attempts_,
-                              .action = action,
-                              .detail = detail});
-  }
-  if (options_.observer != nullptr) {
-    obs::Event event{.kind = ToObsKind(kind),
-                     .time = mcu_->Now(),
-                     .true_time = mcu_->TrueNow(),
-                     .task = task,
-                     .path = static_cast<PathId>(path_idx_ + 1),
-                     .attempt = cur_attempts_,
-                     .seq = event_seq_,
-                     .energy_uj = mcu_->stats().TotalEnergy(),
-                     .energy_fraction = mcu_->power_model().StoredEnergyFraction(),
-                     .detail = detail};
-    if (action != ActionType::kNone) {
-      event.action = ActionTypeName(action);
-    }
-    // Task end/abort events carry the task's cumulative execution profile
-    // so sinks can attribute per-task time/energy without a second source.
-    if ((kind == TraceKind::kTaskEnd || kind == TraceKind::kTaskAborted) &&
-        task != kInvalidTask) {
-      event.duration = profiles_[task].busy_time;
-      event.value = profiles_[task].energy;
-    }
-    options_.observer->Publish(event);
-  }
-}
-
-void IntermittentKernel::PublishCommit(TaskId task, std::size_t bytes) {
+void IntermittentKernel::Trace(obs::Kind kind, TaskId task, ActionType action,
+                               const std::string& detail, double value) {
   if (options_.observer == nullptr) {
     return;
   }
-  options_.observer->Publish(
-      obs::Event{.kind = obs::Kind::kCommit,
-                 .time = mcu_->Now(),
-                 .true_time = mcu_->TrueNow(),
-                 .task = task,
-                 .path = static_cast<PathId>(path_idx_ + 1),
-                 .attempt = cur_attempts_,
-                 .seq = event_seq_,
-                 .value = static_cast<double>(bytes),
-                 .energy_uj = mcu_->stats().TotalEnergy(),
-                 .energy_fraction = mcu_->power_model().StoredEnergyFraction()});
+  obs::Event event{.kind = kind,
+                   .time = mcu_->Now(),
+                   .true_time = mcu_->TrueNow(),
+                   .task = task,
+                   .path = static_cast<PathId>(path_idx_ + 1),
+                   .attempt = cur_attempts_,
+                   .seq = event_seq_,
+                   .value = value,
+                   .energy_uj = mcu_->stats().TotalEnergy(),
+                   .energy_fraction = mcu_->power_model().StoredEnergyFraction(),
+                   .detail = detail};
+  if (action != ActionType::kNone) {
+    event.action = ActionTypeName(action);
+  }
+  // Task end/abort events carry the task's cumulative execution profile
+  // so sinks can attribute per-task time/energy without a second source.
+  if ((kind == obs::Kind::kTaskEnd || kind == obs::Kind::kTaskAborted) &&
+      task != kInvalidTask) {
+    event.duration = profiles_[task].busy_time;
+    event.value = profiles_[task].energy;
+  }
+  options_.observer->Publish(event);
 }
 
 KernelRunResult IntermittentKernel::Run() {
@@ -107,8 +82,8 @@ KernelRunResult IntermittentKernel::Run() {
 
   // Initial hard reset (Figure 8, resetMonitor): once per application life.
   checker_->HardReset(*mcu_);
-  Trace(TraceKind::kBoot, kInvalidTask);
-  Trace(TraceKind::kPathStart, current_task());
+  Trace(obs::Kind::kKernelBoot, kInvalidTask);
+  Trace(obs::Kind::kPathStart, current_task());
   if (options_.flight != nullptr) {
     // Black-box epoch 0 (the first power life). A failure here simply means
     // the run opened with a reboot before any task executed.
@@ -135,7 +110,7 @@ KernelRunResult IntermittentKernel::Run() {
     const ExecStatus status = Step();
     if (status == ExecStatus::kPowerFailure) {
       // Reboot path (Figure 8): progress any interrupted monitor operation.
-      Trace(TraceKind::kBoot, kInvalidTask);
+      Trace(obs::Kind::kKernelBoot, kInvalidTask);
       checker_->Finalize(*mcu_);
     } else if (status == ExecStatus::kStarved) {
       result.starved = true;
@@ -144,7 +119,7 @@ KernelRunResult IntermittentKernel::Run() {
   }
 
   if (app_complete_) {
-    Trace(TraceKind::kAppComplete, kInvalidTask);
+    Trace(obs::Kind::kAppComplete, kInvalidTask);
   }
   result.completed = app_complete_;
   result.finished_at = mcu_->TrueNow();
@@ -261,9 +236,9 @@ ExecStatus IntermittentKernel::HandleReady(TaskId task) {
   }
   event_pending_ = false;  // Verdict obtained; the event is retired.
   ++cur_attempts_;
-  Trace(TraceKind::kTaskStart, task);
+  Trace(obs::Kind::kTaskStart, task);
   if (outcome.verdict.violated()) {
-    Trace(TraceKind::kViolation, task, outcome.verdict.action, outcome.verdict.property);
+    Trace(obs::Kind::kViolation, task, outcome.verdict.action, outcome.verdict.property);
     return ApplyAction(outcome.verdict, EventKind::kStartTask);
   }
   return RunTaskBody(task);
@@ -279,7 +254,7 @@ ExecStatus IntermittentKernel::RunTaskBody(TaskId task) {
   profiles_[task].energy += mcu_->stats().energy[app] - energy_before;
   if (status != ExecStatus::kOk) {
     ++profiles_[task].aborts;
-    Trace(TraceKind::kTaskAborted, task);
+    Trace(obs::Kind::kTaskAborted, task);
     return status;
   }
   TaskContext ctx(graph_, &channels_, task, mcu_->Now(), &rng_);
@@ -309,7 +284,7 @@ ExecStatus IntermittentKernel::CommitTask(TaskId task, TaskContext& ctx) {
   channels_.RecordCompletion(task, cur_finish_ts_);
   ++profiles_[task].commits;
   cur_status_ = TaskStatus::kFinished;
-  PublishCommit(task, bytes);
+  Trace(obs::Kind::kCommit, task, ActionType::kNone, "", static_cast<double>(bytes));
   // The commit itself is already durable; the record is best-effort. An
   // interrupted append is not retried after the reboot (the kernel resumes
   // in kFinished), so a lost commit record just leaves a gap in the log.
@@ -339,9 +314,9 @@ ExecStatus IntermittentKernel::HandleFinished(TaskId task) {
     return ExecStatus::kPowerFailure;
   }
   event_pending_ = false;
-  Trace(TraceKind::kTaskEnd, task);
+  Trace(obs::Kind::kTaskEnd, task);
   if (outcome.verdict.violated()) {
-    Trace(TraceKind::kViolation, task, outcome.verdict.action, outcome.verdict.property);
+    Trace(obs::Kind::kViolation, task, outcome.verdict.action, outcome.verdict.property);
     return ApplyAction(outcome.verdict, EventKind::kEndTask);
   }
   AdvanceTask();
@@ -361,10 +336,10 @@ ExecStatus IntermittentKernel::RunUnmonitored() {
   }
   if (cur_status_ == TaskStatus::kReady) {
     ++cur_attempts_;
-    Trace(TraceKind::kTaskStart, task, ActionType::kNone, "unmonitored");
+    Trace(obs::Kind::kTaskStart, task, ActionType::kNone, "unmonitored");
     return RunTaskBody(task);
   }
-  Trace(TraceKind::kTaskEnd, task, ActionType::kNone, "unmonitored");
+  Trace(obs::Kind::kTaskEnd, task, ActionType::kNone, "unmonitored");
   AdvanceTask();
   return ExecStatus::kOk;
 }
@@ -378,14 +353,14 @@ ExecStatus IntermittentKernel::ApplyAction(const MonitorVerdict& verdict, EventK
       // Re-run the current task; for an EndTask violation the committed
       // execution stands and the task simply runs again.
       cur_status_ = TaskStatus::kReady;
-      Trace(TraceKind::kActionApplied, task, verdict.action);
+      Trace(obs::Kind::kActionApplied, task, verdict.action);
       break;
     case ActionType::kSkipTask:
       if (at == EventKind::kStartTask) {
         ++profiles_[task].skips;
-        Trace(TraceKind::kTaskSkipped, task, verdict.action);
+        Trace(obs::Kind::kTaskSkipped, task, verdict.action);
       } else {
-        Trace(TraceKind::kActionApplied, task, verdict.action);
+        Trace(obs::Kind::kActionApplied, task, verdict.action);
       }
       AdvanceTask();
       break;
@@ -393,7 +368,7 @@ ExecStatus IntermittentKernel::ApplyAction(const MonitorVerdict& verdict, EventK
       const std::size_t target = verdict.target_path != kNoPath
                                      ? static_cast<std::size_t>(verdict.target_path - 1)
                                      : path_idx_;
-      Trace(TraceKind::kPathRestart, task, verdict.action, verdict.property);
+      Trace(obs::Kind::kPathRestart, task, verdict.action, verdict.property);
       EnterPath(target);
       checker_->OnPathRestart(static_cast<PathId>(target + 1), *mcu_);
       break;
@@ -402,7 +377,7 @@ ExecStatus IntermittentKernel::ApplyAction(const MonitorVerdict& verdict, EventK
       const std::size_t target = verdict.target_path != kNoPath
                                      ? static_cast<std::size_t>(verdict.target_path - 1)
                                      : path_idx_;
-      Trace(TraceKind::kPathSkip, task, verdict.action, verdict.property);
+      Trace(obs::Kind::kPathSkip, task, verdict.action, verdict.property);
       const std::size_t next = std::max(path_idx_, target) + 1;
       if (next >= graph_->path_count()) {
         MarkAppComplete();
@@ -414,7 +389,7 @@ ExecStatus IntermittentKernel::ApplyAction(const MonitorVerdict& verdict, EventK
     case ActionType::kCompletePath:
       // Table 1: finish the current path without monitoring, then resume
       // monitored execution after it.
-      Trace(TraceKind::kActionApplied, task, verdict.action, verdict.property);
+      Trace(obs::Kind::kActionApplied, task, verdict.action, verdict.property);
       unmonitored_ = true;
       if (at == EventKind::kEndTask) {
         AdvanceTask();
@@ -441,7 +416,7 @@ void IntermittentKernel::AdvanceTask() {
     unmonitored_ = false;
     // Record the path's final task (task_idx_ still points at it) so the
     // trace renders which task closed the unmonitored tail.
-    Trace(TraceKind::kPathCompleteUnmonitored, path.empty() ? kInvalidTask : path[task_idx_]);
+    Trace(obs::Kind::kPathCompleteUnmonitored, path.empty() ? kInvalidTask : path[task_idx_]);
     // Monitors tied to the silently completed path restart from scratch.
     checker_->OnPathRestart(path_id, *mcu_);
   }
@@ -458,7 +433,7 @@ void IntermittentKernel::EnterPath(std::size_t path_idx) {
   cur_status_ = TaskStatus::kReady;
   cur_attempts_ = 0;
   cur_finish_ts_ = 0;
-  Trace(TraceKind::kPathStart, current_task());
+  Trace(obs::Kind::kPathStart, current_task());
 }
 
 void IntermittentKernel::MarkAppComplete() {

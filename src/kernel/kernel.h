@@ -29,7 +29,6 @@
 #include "src/kernel/channel.h"
 #include "src/kernel/checker.h"
 #include "src/flight/recorder.h"
-#include "src/kernel/trace.h"
 #include "src/obs/bus.h"
 #include "src/sim/mcu.h"
 
@@ -55,8 +54,6 @@ struct KernelOptions {
   SimDuration max_wall_time = 0;
   // Safety valve on boundary crossings, against bugs in checkers.
   std::uint64_t max_steps = 2'000'000;
-  // Record an execution trace (costs host memory only).
-  bool record_trace = true;
   // How many times to run the whole path sequence (continuous sensing
   // applications loop forever; benches pick a finite horizon). 0 == 1.
   std::uint64_t app_iterations = 1;
@@ -64,8 +61,9 @@ struct KernelOptions {
   // duty-cycled sleep between sampling rounds.
   SimDuration inter_iteration_gap = 0;
   // Cross-layer observability bus (src/obs): when set, the kernel publishes
-  // task/path lifecycle and checkpoint-commit events, independent of
-  // record_trace. nullptr = publishing off (a single null check per site).
+  // task/path lifecycle and checkpoint-commit events; obs::RenderTimeline
+  // turns a collected stream into the human-readable execution timeline.
+  // nullptr = publishing off (a single null check per site).
   obs::EventBus* observer = nullptr;
   // On-device flight recorder (src/flight): when set, the kernel seals
   // task-boundary and commit records into the FRAM black box. Unlike the
@@ -115,7 +113,6 @@ class IntermittentKernel {
   // be threaded through KernelOptions at construction time.
   void set_swap_hook(SwapHook* hook) { options_.swap_hook = hook; }
 
-  const ExecutionTrace& trace() const { return trace_; }
   const std::vector<TaskProfile>& profiles() const { return profiles_; }
   const ChannelStore& channels() const { return channels_; }
   ChannelStore& channels() { return channels_; }
@@ -150,9 +147,11 @@ class IntermittentKernel {
   ExecStatus EnsureStartEvent(TaskId task);
   ExecStatus EnsureEndEvent(TaskId task);
 
-  void Trace(TraceKind kind, TaskId task, ActionType action = ActionType::kNone,
-             const std::string& detail = "");
-  void PublishCommit(TaskId task, std::size_t bytes);
+  // Publishes one event to the observer, if any. `value` is the kind's
+  // scalar (kCommit: committed bytes); task end/abort events carry the
+  // task's cumulative profile instead.
+  void Trace(obs::Kind kind, TaskId task, ActionType action = ActionType::kNone,
+             const std::string& detail = "", double value = 0.0);
 
   const AppGraph* graph_;
   PropertyChecker* checker_;
@@ -174,7 +173,6 @@ class IntermittentKernel {
   std::uint64_t iterations_done_ = 0;
 
   ChannelStore channels_;
-  ExecutionTrace trace_;
   std::vector<TaskProfile> profiles_;
 };
 

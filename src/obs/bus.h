@@ -57,6 +57,15 @@ class CollectingSink : public Sink {
   const std::vector<Event>& events() const { return events_; }
   void Clear() { events_.clear(); }
 
+  // Number of collected events of `kind` (optionally only for `task`).
+  std::size_t Count(Kind kind, std::uint32_t task = kObsNoTask) const {
+    std::size_t n = 0;
+    for (const Event& e : events_) {
+      n += e.kind == kind && (task == kObsNoTask || e.task == task) ? 1 : 0;
+    }
+    return n;
+  }
+
  private:
   std::vector<Event> events_;
 };

@@ -1,5 +1,8 @@
 #include "src/obs/event.h"
 
+#include <cstring>
+#include <sstream>
+
 namespace artemis::obs {
 
 const char* KindName(Kind kind) {
@@ -78,6 +81,54 @@ const char* ComponentName(Component component) {
       return "monitor";
   }
   return "?";
+}
+
+std::string RenderTimeline(const std::vector<Event>& events,
+                           const std::vector<std::string>& task_names) {
+  std::ostringstream out;
+  for (const Event& e : events) {
+    if (e.kind < Kind::kKernelBoot || e.kind > Kind::kAppComplete) {
+      continue;
+    }
+    out << FormatTimestamp(e.time) << ' ';
+    // Most labels are the schema name minus "kernel."; three keep the
+    // timeline's historical wording.
+    switch (e.kind) {
+      case Kind::kKernelBoot:
+        out << "BOOT";
+        break;
+      case Kind::kTaskAborted:
+        out << "task-aborted(power-failure)";
+        break;
+      case Kind::kViolation:
+        out << "property-violation";
+        break;
+      default:
+        out << std::string_view(KindName(e.kind)).substr(std::strlen("kernel."));
+    }
+    if (e.task != kObsNoTask) {
+      out << ' ';
+      if (e.task < task_names.size()) {
+        out << task_names[e.task];
+      } else {
+        out << "task#" << e.task;
+      }
+    }
+    if (e.path != kObsNoPath) {
+      out << " path#" << e.path;
+    }
+    if (e.attempt != 0) {
+      out << " attempt=" << e.attempt;
+    }
+    if (!e.action.empty()) {
+      out << " action=" << e.action;
+    }
+    if (!e.detail.empty()) {
+      out << " [" << e.detail << ']';
+    }
+    out << '\n';
+  }
+  return out.str();
 }
 
 }  // namespace artemis::obs

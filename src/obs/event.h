@@ -1,7 +1,7 @@
 // The unified observability event: one record type that the sim, kernel,
 // and monitor layers all publish into the cross-layer EventBus
-// (src/obs/bus.h). This is the exportable superset of the kernel-local
-// ExecutionTrace: it additionally carries sim-layer power events (brownout,
+// (src/obs/bus.h). It is the runtime's only event record: besides the
+// kernel's task/path lifecycle it carries sim-layer power events (brownout,
 // recharge segments) and monitor internals (event delivery, verdicts,
 // per-event cycle cost), plus cumulative energy / stored-charge samples so
 // exporters can render counter tracks.
@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/base/time.h"
 
@@ -31,7 +32,7 @@ enum class Kind : std::uint8_t {
   kSimPowerFail = 0,  // brownout: duration = outage/charge segment length
   kSimBoot,           // device restored after the charge segment
 
-  // ---- kernel layer (mirrors TraceKind, plus the commit event) ----
+  // ---- kernel layer (task/path lifecycle, plus the commit event) ----
   kKernelBoot,
   kTaskStart,
   kTaskEnd,
@@ -84,6 +85,13 @@ struct Event {
   std::string action;           // corrective-action name, "" = none
   std::string detail;           // property name or free-form note
 };
+
+// Renders the kernel lifecycle events (kKernelBoot through kAppComplete) as
+// the human-readable execution timeline, one line per event; commit, sim and
+// monitor events are skipped. Task ids resolve through `task_names`; ids
+// past its end print as "task#<id>".
+std::string RenderTimeline(const std::vector<Event>& events,
+                           const std::vector<std::string>& task_names);
 
 }  // namespace artemis::obs
 

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/base/json.h"
+
 namespace artemis::obs {
 namespace {
 
@@ -14,36 +16,6 @@ std::string Num(double v, const char* fmt) {
 }
 
 }  // namespace
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 JsonlSink::JsonlSink(std::ostream& out, JsonlOptions options)
     : out_(out), options_(std::move(options)) {

@@ -50,9 +50,6 @@ class JsonlSink : public Sink {
   std::uint64_t lines_ = 0;
 };
 
-// JSON string escaping shared by the JSONL and Perfetto exporters.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace artemis::obs
 
 #endif  // SRC_OBS_JSONL_SINK_H_

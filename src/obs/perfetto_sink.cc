@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "src/obs/jsonl_sink.h"  // JsonEscape
+#include "src/base/json.h"
 
 namespace artemis::obs {
 namespace {

@@ -9,6 +9,7 @@
 #include "src/apps/ar_app.h"
 #include "src/apps/greenhouse_app.h"
 #include "src/apps/health_app.h"
+#include "src/base/json.h"
 #include "src/base/thread_pool.h"
 #include "src/base/units.h"
 #include "src/core/builder.h"
@@ -34,8 +35,6 @@ AppGraph BuildAppGraphByName(const std::string& app) {
   return std::move(BuildHealthApp().graph);
 }
 
-namespace {
-
 StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
   if (app == "health") {
     return HealthAppSpec();
@@ -46,8 +45,10 @@ StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
   if (app == "ar") {
     return ArAppSpec();
   }
-  return Status::Invalid("sweep: unknown app '" + app + "' (health|greenhouse|ar)");
+  return Status::Invalid("unknown app '" + app + "' (health|greenhouse|ar)");
 }
+
+namespace {
 
 StatusOr<MonitorBackend> ParseBackend(const std::string& name) {
   if (name == "builtin") {
@@ -115,29 +116,6 @@ StatusOr<std::unique_ptr<OutageTimekeeper>> MakeTimekeeper(const std::string& te
   }
   return Status::Invalid("sweep: unknown timekeeper '" + text +
                          "' (default|ideal|rtc:<err>|remanence:<max>:<err>)");
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string FormatFixed(double value, int digits) {
@@ -356,15 +334,19 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
     }
   }
 
-  // Per-point bus + aggregator: attaching costs zero simulated cycles, so
-  // collect_stats never perturbs the simulated results.
+  // Per-point bus: the aggregator (collect_stats) and, for a post_run hook,
+  // an event log. Attaching costs zero simulated cycles, so neither ever
+  // perturbs the simulated results.
   obs::EventBus bus;
   ObsStatsAggregator aggregator;
-  obs::EventBus* observer = nullptr;
+  obs::CollectingSink events;
   if (spec.collect_stats) {
     bus.AddSink(&aggregator);
-    observer = &bus;
   }
+  if (spec.post_run) {
+    bus.AddSink(&events);
+  }
+  obs::EventBus* observer = bus.active() ? &bus : nullptr;
 
   // Mayfly derives its rules from the AST, so it shares kAst-stage cache
   // entries with the builtin backend.
@@ -380,12 +362,12 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
 
   SweepRunArtifacts artifacts;
   artifacts.graph = &graph;
+  artifacts.events = &events.events();
   if (point.system == "artemis") {
     ArtemisConfig config;
     config.backend = point.backend;
     config.kernel.seed = point.seed;
     config.kernel.max_wall_time = spec.max_wall;
-    config.kernel.record_trace = spec.record_trace;
     config.observer = observer;
     config.flight = recorder.get();
     StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
@@ -442,7 +424,6 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
     KernelOptions options;
     options.seed = point.seed;
     options.max_wall_time = spec.max_wall;
-    options.record_trace = spec.record_trace;
     options.observer = observer;
     options.flight = recorder.get();
     if (observer != nullptr) {
@@ -900,11 +881,6 @@ StatusOr<SweepSpec> ParseGridJson(
         return TypeError(key, "a boolean");
       }
       spec.collect_stats = value->boolean();
-    } else if (key == "record_trace") {
-      if (!value->is_bool()) {
-        return TypeError(key, "a boolean");
-      }
-      spec.record_trace = value->boolean();
     } else if (key == "flight") {
       if (!value->is_string()) {
         return TypeError(key, "a string (off|verdicts|full)");

@@ -56,6 +56,9 @@ struct SweepRunArtifacts {
   const ArtemisRuntime* artemis = nullptr;
   const MayflyRuntime* mayfly = nullptr;
   const AppGraph* graph = nullptr;
+  // Every sim/kernel/monitor event of the point's run, in publish order
+  // (a per-point obs::CollectingSink, attached only when post_run is set).
+  const std::vector<obs::Event>* events = nullptr;
 };
 
 struct SweepSpec {
@@ -74,8 +77,6 @@ struct SweepSpec {
   // Attach a per-point observability bus + ObsStatsAggregator (zero
   // simulated cycles; results land in SweepRow::stats).
   bool collect_stats = false;
-  // Record the kernel ExecutionTrace (host memory only; for post_run).
-  bool record_trace = false;
   // On-device flight recorder level: "off", "verdicts", or "full". Anything
   // but "off" attaches a per-point FlightRecorder of `flight_bytes` capacity
   // whose appends are charged to the simulated device (docs/forensics.md) —
@@ -170,6 +171,10 @@ struct SweepOutcome {
 // anything else falls back to health). Exposed for the fleet engine,
 // which shares the sweep's one-graph-per-simulation isolation rule.
 AppGraph BuildAppGraphByName(const std::string& app);
+
+// The app's embedded default property spec; Invalid for an unknown app name.
+// This is the engines' app-name check (BuildAppGraphByName never fails).
+StatusOr<std::string> DefaultSpecForApp(const std::string& app);
 
 // Validates the axes and expands the cartesian grid.
 StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec);

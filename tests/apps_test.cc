@@ -141,19 +141,22 @@ TEST(ArAppTest, SurvivesIntermittentPower) {
 TEST(ArAppTest, CrossPathRestartTargetsProducerPath) {
   ArApp app = BuildArApp();
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
-  config.kernel.record_trace = true;
+  config.kernel.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, ArAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   ASSERT_TRUE(runtime.value()->Run().completed);
   // Every collect-triggered restart re-entered path #1, not report's path.
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    if (r.kind == TraceKind::kPathRestart &&
-        r.detail.find("collect(report") != std::string::npos) {
-      EXPECT_EQ(r.action, ActionType::kRestartPath);
+  for (const obs::Event& e : events.events()) {
+    if (e.kind == obs::Kind::kPathRestart &&
+        e.detail.find("collect(report") != std::string::npos) {
+      EXPECT_EQ(e.action, ActionTypeName(ActionType::kRestartPath));
     }
   }
-  EXPECT_EQ(runtime.value()->kernel().trace().Count(TraceKind::kPathRestart), 3u);
+  EXPECT_EQ(events.Count(obs::Kind::kPathRestart), 3u);
 }
 
 }  // namespace

@@ -104,18 +104,22 @@ TEST(ArtemisRuntimeTest, FeverTriggersCompletePath) {
   options.force_fever = true;
   HealthApp app = BuildHealthApp(options);
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), {});
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
+  ArtemisConfig config;
+  config.kernel.observer = &bus;
+  auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
   EXPECT_TRUE(result.completed);
-  const ExecutionTrace& trace = runtime.value()->kernel().trace();
   // dpData(avgTemp) fired and the rest of path #1 ran unmonitored.
-  EXPECT_GE(trace.Count(TraceKind::kPathCompleteUnmonitored), 1u);
+  EXPECT_GE(events.Count(obs::Kind::kPathCompleteUnmonitored), 1u);
   bool saw_dpdata = false;
-  for (const TraceRecord& r : trace.records()) {
+  for (const obs::Event& e : events.events()) {
     saw_dpdata =
-        saw_dpdata || (r.kind == TraceKind::kViolation &&
-                       r.detail.find("dpData") != std::string::npos);
+        saw_dpdata || (e.kind == obs::Kind::kViolation &&
+                       e.detail.find("dpData") != std::string::npos);
   }
   EXPECT_TRUE(saw_dpdata);
 }

@@ -148,10 +148,13 @@ TEST_P(HealthFailureSweepTest, HealthAppDataIntegrityUnderRandomPower) {
                  .WithStochasticPower(/*mean_on=*/3 * kSecond, /*mean_charge=*/10 * kSecond,
                                       GetParam())
                  .Build();
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
   config.kernel.seed = GetParam();
   config.kernel.max_wall_time = 12 * kHour;
-  config.kernel.record_trace = true;
+  config.kernel.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
@@ -169,10 +172,8 @@ TEST_P(HealthFailureSweepTest, HealthAppDataIntegrityUnderRandomPower) {
     EXPECT_LT(*avg, 40.0);
   }
   // Aborted task bodies never commit: completions never exceed starts.
-  const ExecutionTrace& trace = runtime.value()->kernel().trace();
   for (TaskId t = 0; t < app.graph.task_count(); ++t) {
-    EXPECT_LE(trace.CountForTask(TraceKind::kTaskEnd, t),
-              trace.CountForTask(TraceKind::kTaskStart, t))
+    EXPECT_LE(events.Count(obs::Kind::kTaskEnd, t), events.Count(obs::Kind::kTaskStart, t))
         << app.graph.TaskName(t);
   }
 }

@@ -14,6 +14,7 @@
 #include "src/base/units.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/instance.h"
+#include "src/sweep/grid_json.h"
 #include "src/sweep/spec_cache.h"
 #include "src/sweep/sweep.h"
 
@@ -238,6 +239,39 @@ TEST(FleetValidationTest, RejectsBadSpecs) {
   spec = FleetSpec{};
   spec.app = "unknown-app";
   EXPECT_FALSE(RunFleet(spec).ok());
+}
+
+// An explicit spec replaces the app's default spec, not the app-name check:
+// an unknown app must not silently simulate the health graph.
+TEST(FleetValidationTest, UnknownAppRejectedEvenWithExplicitSpec) {
+  FleetSpec spec;
+  spec.app = "nope";
+  spec.spec_text = "accel: { maxTries: 10 onFail: skipPath; }\n";
+  const StatusOr<FleetOutcome> outcome = RunFleet(spec);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Spec labels are free text (a --spec path); control bytes in them must
+// still render as valid JSON.
+TEST(FleetRenderTest, ControlBytesInLabelsStayValidJson) {
+  FleetSpec spec = SmallFleet("batch", 1);
+  spec.devices = 1;
+  spec.spec_label = "odd\x01label\r\n\t\"end\"";
+  const StatusOr<FleetOutcome> outcome = RunFleet(spec);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const std::string json = RenderFleetJson(spec, outcome.value());
+  // JSON forbids raw control bytes inside strings; only the layout's
+  // newlines may appear unescaped.
+  for (const char c : json) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control byte " << static_cast<int>(c);
+  }
+  const StatusOr<sweep::JsonValuePtr> parsed = sweep::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const sweep::JsonValuePtr label = parsed.value()->Find("spec");
+  ASSERT_NE(label, nullptr);
+  EXPECT_EQ(label->string(), spec.spec_label);
 }
 
 TEST(FleetValidationTest, AnalyzerGateFailsFastOnInfeasibleDeployment) {

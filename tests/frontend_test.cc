@@ -193,7 +193,6 @@ KernelRunResult RunWithPlacement(MonitorPlacement placement, McuStats* stats_out
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
   ArtemisConfig config;
   config.placement = placement;
-  config.kernel.record_trace = false;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok());
   KernelRunResult result = runtime.value()->Run();

@@ -21,18 +21,18 @@ SimDuration Charge(int minutes) {
 
 KernelRunResult RunArtemisHealth(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
                                  std::uint64_t* sends = nullptr,
-                                 ExecutionTrace* trace_out = nullptr) {
+                                 obs::CollectingSink* events = nullptr) {
   HealthApp app = BuildHealthApp();
+  obs::EventBus bus;
+  bus.AddSink(events);
   ArtemisConfig config;
   config.kernel.max_wall_time = max_wall;
+  config.kernel.observer = events != nullptr ? &bus : nullptr;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
   const KernelRunResult result = runtime.value()->Run();
   if (sends != nullptr) {
     *sends = runtime.value()->kernel().channels().CompletionCount(app.send);
-  }
-  if (trace_out != nullptr) {
-    *trace_out = runtime.value()->kernel().trace();
   }
   return result;
 }
@@ -42,7 +42,6 @@ KernelRunResult RunMayflyHealth(std::unique_ptr<Mcu> mcu, SimDuration max_wall) 
   auto parsed = SpecParser::Parse(HealthAppSpec());
   KernelOptions options;
   options.max_wall_time = max_wall;
-  options.record_trace = false;
   auto runtime = MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
   EXPECT_TRUE(runtime.ok());
   return runtime.value()->Run();
@@ -92,21 +91,19 @@ TEST(Figure12Test, ArtemisTimeGrowsWithChargingDelay) {
 // -------------------------------------------------- Figure 13 shape check --
 
 TEST(Figure13Test, ThreeAttemptsThenSkip) {
-  ExecutionTrace trace;
+  obs::CollectingSink events;
   const KernelRunResult result = RunArtemisHealth(
       PlatformBuilder().WithFixedCharge(kOnBudget, Charge(6)).Build(), 8 * kHour, nullptr,
-      &trace);
+      &events);
   ASSERT_TRUE(result.completed);
   int mitd_violations = 0;
-  int skips = 0;
-  for (const TraceRecord& r : trace.records()) {
-    if (r.kind == TraceKind::kViolation && r.detail.find("MITD") != std::string::npos) {
+  for (const obs::Event& e : events.events()) {
+    if (e.kind == obs::Kind::kViolation && e.detail.find("MITD") != std::string::npos) {
       ++mitd_violations;
     }
-    skips += r.kind == TraceKind::kPathSkip ? 1 : 0;
   }
   EXPECT_EQ(mitd_violations, 3);  // Two restarts, then the maxAttempt skip.
-  EXPECT_EQ(skips, 1);
+  EXPECT_EQ(events.Count(obs::Kind::kPathSkip), 1u);
 }
 
 // --------------------------------------------------- Figure 16 shape check --
@@ -146,7 +143,6 @@ TEST_P(StochasticTerminationTest, ArtemisAlwaysTerminatesUnderRandomPower) {
   HealthApp app = BuildHealthApp();
   ArtemisConfig config;
   config.kernel.max_wall_time = 12 * kHour;
-  config.kernel.record_trace = false;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
@@ -170,7 +166,6 @@ TEST_P(DriftRobustnessTest, TimekeepingErrorDoesNotBreakTermination) {
   HealthApp app = BuildHealthApp();
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   EXPECT_TRUE(runtime.value()->Run().completed);
@@ -202,16 +197,20 @@ TEST(GreenhouseTest, MinEnergySkipsReportOnDrainedBuffer) {
   // on-period budget below the 0.9 threshold (but the report would still
   // fit — the property is a policy, not a physics guard).
   auto mcu = PlatformBuilder().WithFixedCharge(2'400.0, 5 * kSecond).Build();
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
   config.kernel.max_wall_time = kHour;
+  config.kernel.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, GreenhouseSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
   EXPECT_TRUE(result.completed);
   bool min_energy_fired = false;
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    min_energy_fired = min_energy_fired || (r.kind == TraceKind::kViolation &&
-                                            r.detail.find("minEnergy") != std::string::npos);
+  for (const obs::Event& e : events.events()) {
+    min_energy_fired = min_energy_fired || (e.kind == obs::Kind::kViolation &&
+                                            e.detail.find("minEnergy") != std::string::npos);
   }
   EXPECT_TRUE(min_energy_fired);
 }

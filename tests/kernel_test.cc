@@ -25,6 +25,19 @@ std::unique_ptr<Mcu> BudgetMcu(EnergyUj budget, SimDuration charge = kSecond) {
                                DefaultCostModel());
 }
 
+// Kernel options whose observer collects every published event.
+struct EventLog {
+  EventLog() {
+    bus.AddSink(&events);
+    options.observer = &bus;
+  }
+  EventLog(const EventLog&) = delete;
+  EventLog& operator=(const EventLog&) = delete;
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  KernelOptions options;
+};
+
 TaskDef SimpleTask(const std::string& name, SimDuration duration = 10 * kMillisecond,
                    Milliwatts power = 1.0, TaskEffect effect = nullptr) {
   return TaskDef{.name = name,
@@ -251,13 +264,14 @@ TEST(KernelTest, EffectsCommitAtomicallyAcrossPowerFailures) {
   graph.AddPath({drain, a});
   auto mcu = BudgetMcu(2'000.0);
   NullChecker checker;
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  EventLog log;
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), log.options);
   const KernelRunResult result = kernel.Run();
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(effect_runs, 1);
   EXPECT_EQ(kernel.channels().Samples(a).size(), 1u);
   EXPECT_GE(result.stats.reboots, 1u);
-  EXPECT_GE(kernel.trace().CountForTask(TraceKind::kTaskAborted, a), 1u);
+  EXPECT_GE(log.events.Count(obs::Kind::kTaskAborted, a), 1u);
 }
 
 TEST(KernelTest, StartEventPerAttemptEndEventOnce) {
@@ -363,10 +377,11 @@ TEST(KernelTest, SkipTaskAtStartSkipsExecution) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kStartTask, a, 1,
                    MonitorVerdict{ActionType::kSkipTask, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  EventLog log;
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), log.options);
   EXPECT_TRUE(kernel.Run().completed);
   EXPECT_EQ(runs, 0);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskSkipped, a), 1u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kTaskSkipped, a), 1u);
 }
 
 TEST(KernelTest, RestartPathReentersFromFirstTaskAndNotifiesChecker) {
@@ -400,10 +415,11 @@ TEST(KernelTest, RestartPathWithExplicitTarget) {
   // While executing path 2, demand a restart of path 2 explicitly.
   checker.AddRule({EventKind::kStartTask, send, 2,
                    MonitorVerdict{ActionType::kRestartPath, 2, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  EventLog log;
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), log.options);
   EXPECT_TRUE(kernel.Run().completed);
   // b runs twice (path 2 restarted once).
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, b), 2u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kTaskEnd, b), 2u);
 }
 
 TEST(KernelTest, SkipPathAdvancesToNextPath) {
@@ -419,10 +435,11 @@ TEST(KernelTest, SkipPathAdvancesToNextPath) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kStartTask, a, 1,
                    MonitorVerdict{ActionType::kSkipPath, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  EventLog log;
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), log.options);
   EXPECT_TRUE(kernel.Run().completed);
   EXPECT_EQ(b_runs, 0);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, c), 1u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kTaskEnd, c), 1u);
 }
 
 TEST(KernelTest, SkipLastPathCompletesApp) {
@@ -433,10 +450,11 @@ TEST(KernelTest, SkipLastPathCompletesApp) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kStartTask, a, 1,
                    MonitorVerdict{ActionType::kSkipPath, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  EventLog log;
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), log.options);
   const KernelRunResult result = kernel.Run();
   EXPECT_TRUE(result.completed);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, a), 0u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kTaskEnd, a), 0u);
 }
 
 TEST(KernelTest, CompletePathRunsTailUnmonitored) {
@@ -451,11 +469,12 @@ TEST(KernelTest, CompletePathRunsTailUnmonitored) {
   ScriptedChecker checker;
   checker.AddRule({EventKind::kEndTask, a, 1,
                    MonitorVerdict{ActionType::kCompletePath, kNoPath, "p"}});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  EventLog log;
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), log.options);
   EXPECT_TRUE(kernel.Run().completed);
   // b and c ran, but produced no checker events (monitoring halted).
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, b), 1u);
-  EXPECT_EQ(kernel.trace().CountForTask(TraceKind::kTaskEnd, c), 1u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kTaskEnd, b), 1u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kTaskEnd, c), 1u);
   for (const MonitorEvent& e : checker.events) {
     EXPECT_NE(e.task, b);
     EXPECT_NE(e.task, c);
@@ -467,7 +486,7 @@ TEST(KernelTest, CompletePathRunsTailUnmonitored) {
   }
   EXPECT_TRUE(saw_d);
   // Monitors of the silently completed path were re-initialized.
-  EXPECT_EQ(kernel.trace().Count(TraceKind::kPathCompleteUnmonitored), 1u);
+  EXPECT_EQ(log.events.Count(obs::Kind::kPathCompleteUnmonitored), 1u);
   EXPECT_EQ(checker.path_restarts, (std::vector<PathId>{1}));
 }
 
@@ -535,19 +554,6 @@ TEST(KernelTest, ConsumeAllClearsProducerSamplesAtCommit) {
   IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
   EXPECT_TRUE(kernel.Run().completed);
   EXPECT_TRUE(kernel.channels().Samples(producer).empty());
-}
-
-TEST(KernelTest, TraceDisabledLeavesTraceEmpty) {
-  AppGraph graph;
-  const TaskId a = graph.AddTask(SimpleTask("a"));
-  graph.AddPath({a});
-  auto mcu = AlwaysOnMcu();
-  NullChecker checker;
-  KernelOptions options;
-  options.record_trace = false;
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
-  EXPECT_TRUE(kernel.Run().completed);
-  EXPECT_TRUE(kernel.trace().records().empty());
 }
 
 TEST(KernelTest, EndTimestampPreservedAcrossRedelivery) {
@@ -638,24 +644,6 @@ TEST(KernelTest, IterationCounterStopsAtWallLimit) {
   EXPECT_TRUE(result.timed_out);
   EXPECT_GE(result.iterations_completed, 8u);
   EXPECT_LE(result.iterations_completed, 11u);
-}
-
-TEST(TraceTest, CountersAndRendering) {
-  ExecutionTrace trace;
-  trace.Record({.kind = TraceKind::kTaskStart, .time = 0, .task = 0, .path = 1, .attempt = 1});
-  trace.Record({.kind = TraceKind::kTaskEnd, .time = kSecond, .task = 0, .path = 1});
-  trace.Record({.kind = TraceKind::kViolation,
-                .time = kSecond,
-                .task = 0,
-                .path = 1,
-                .action = ActionType::kSkipPath,
-                .detail = "maxTries(a)"});
-  EXPECT_EQ(trace.Count(TraceKind::kTaskStart), 1u);
-  EXPECT_EQ(trace.CountForTask(TraceKind::kTaskEnd, 0), 1u);
-  const std::string text = trace.ToString({"alpha"});
-  EXPECT_NE(text.find("alpha"), std::string::npos);
-  EXPECT_NE(text.find("skipPath"), std::string::npos);
-  EXPECT_NE(text.find("maxTries(a)"), std::string::npos);
 }
 
 TEST(ActionSeverityTest, OrderingMatchesArbitrationDoc) {

@@ -1,7 +1,6 @@
 // Tests for the cross-layer observability bus (src/obs): event-kind naming
-// and round-trips, the kernel TraceKind mapping, JSONL determinism, trace
-// diffing, the Perfetto exporter, the stats aggregator, and the
-// ExecutionTrace rendering of task-resolved records.
+// and round-trips, JSONL determinism, trace diffing, the Perfetto exporter,
+// the stats aggregator, and the text timeline rendered from kernel events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "src/core/obs_stats.h"
 #include "src/core/runtime.h"
 #include "src/kernel/kernel.h"
-#include "src/kernel/trace.h"
 #include "src/obs/bus.h"
 #include "src/obs/jsonl_sink.h"
 #include "src/obs/perfetto_sink.h"
@@ -49,23 +47,6 @@ TEST(ObsEventTest, KindNamesAreUniqueAndComponentPrefixed) {
     EXPECT_TRUE(names.insert(name).second) << "duplicate kind name " << name;
     const std::string prefix = std::string(obs::ComponentName(obs::ComponentOf(kind))) + ".";
     EXPECT_EQ(name.rfind(prefix, 0), 0u) << name << " lacks prefix " << prefix;
-  }
-}
-
-TEST(ObsEventTest, EveryTraceKindMapsToAKernelObsKind) {
-  for (int i = 0; i <= static_cast<int>(TraceKind::kAppComplete); ++i) {
-    const TraceKind kind = static_cast<TraceKind>(i);
-    const obs::Kind mapped = ToObsKind(kind);
-    EXPECT_EQ(obs::ComponentOf(mapped), obs::Component::kKernel)
-        << TraceKindName(kind) << " -> " << obs::KindName(mapped);
-    // The obs name serializes and parses back — the full TraceKind set
-    // round-trips through the JSONL schema's name space.
-    EXPECT_EQ(obs::KindFromName(obs::KindName(mapped)), mapped);
-  }
-  // Distinct trace kinds stay distinct on the bus.
-  std::set<obs::Kind> mapped;
-  for (int i = 0; i <= static_cast<int>(TraceKind::kAppComplete); ++i) {
-    EXPECT_TRUE(mapped.insert(ToObsKind(static_cast<TraceKind>(i))).second);
   }
 }
 
@@ -125,7 +106,6 @@ std::string RunHealthJsonl() {
   bus.AddSink(&sink);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
   config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   EXPECT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -182,7 +162,6 @@ TEST(PerfettoSinkTest, ExportsProcessMetadataSlicesAndCounters) {
   bus.AddSink(&sink);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
   config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -236,7 +215,6 @@ TEST(ObsStatsTest, AggregatorCountsEventsAndAttributesPathEnergy) {
   bus.AddSink(&collected);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
-  config.kernel.record_trace = false;
   config.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -267,7 +245,40 @@ TEST(ObsStatsTest, AggregatorCountsEventsAndAttributesPathEnergy) {
   EXPECT_NE(report.find("paths: completed=3"), std::string::npos);
 }
 
-// ------------------------------------------------ trace rendering (kernel) --
+// ------------------------------------------------------- text timeline --
+
+TEST(TimelineTest, RendersKernelLifecycleEventsOnly) {
+  auto at = [](obs::Kind kind, SimTime time, std::uint32_t task) {
+    obs::Event e;
+    e.kind = kind;
+    e.time = time;
+    e.task = task;
+    e.path = 1;
+    return e;
+  };
+  std::vector<obs::Event> events = {at(obs::Kind::kSimPowerFail, 0, obs::kObsNoTask),
+                                    at(obs::Kind::kTaskStart, 0, 0),
+                                    at(obs::Kind::kCommit, kSecond, 0),
+                                    at(obs::Kind::kMonitorVerdict, kSecond, 0),
+                                    at(obs::Kind::kTaskEnd, kSecond, 0),
+                                    at(obs::Kind::kViolation, kSecond, 7)};
+  events[1].attempt = 1;
+  events[5].action = "skipPath";
+  events[5].detail = "maxTries(a)";
+  EXPECT_EQ(obs::RenderTimeline(events, {"alpha"}),
+            "[00:00:00.000] task-start alpha path#1 attempt=1\n"
+            "[00:00:01.000] task-end alpha path#1\n"
+            "[00:00:01.000] property-violation task#7 path#1 action=skipPath "
+            "[maxTries(a)]\n");
+  obs::CollectingSink sink;
+  for (const obs::Event& e : events) {
+    sink.OnEvent(e);
+  }
+  EXPECT_EQ(sink.Count(obs::Kind::kTaskEnd), 1u);
+  EXPECT_EQ(sink.Count(obs::Kind::kTaskEnd, 0), 1u);
+  EXPECT_EQ(sink.Count(obs::Kind::kTaskEnd, 7), 0u);
+}
+
 
 std::unique_ptr<Mcu> AlwaysOnMcu() {
   return std::make_unique<Mcu>(std::make_unique<AlwaysOnPowerModel>(), DefaultCostModel());
@@ -315,9 +326,12 @@ TEST(TraceRenderTest, TaskSkippedRendersResolvedTaskName) {
   auto mcu = AlwaysOnMcu();
   OneShotChecker checker(EventKind::kStartTask, a,
                          MonitorVerdict{ActionType::kSkipTask, kNoPath, "p"});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), {.observer = &bus});
   EXPECT_TRUE(kernel.Run().completed);
-  const std::string rendered = kernel.trace().ToString({"alpha", "beta"});
+  const std::string rendered = obs::RenderTimeline(events.events(), {"alpha", "beta"});
   EXPECT_NE(rendered.find("task-skipped alpha"), std::string::npos) << rendered;
   EXPECT_EQ(rendered.find("task#"), std::string::npos) << rendered;
 }
@@ -333,10 +347,14 @@ TEST(TraceRenderTest, PathCompleteUnmonitoredRendersFinalTaskName) {
   // trace records gamma as the task that closed the unmonitored tail.
   OneShotChecker checker(EventKind::kEndTask, a,
                          MonitorVerdict{ActionType::kCompletePath, kNoPath, "p"});
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), {});
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
+  IntermittentKernel kernel(&graph, &checker, mcu.get(), {.observer = &bus});
   EXPECT_TRUE(kernel.Run().completed);
-  EXPECT_EQ(kernel.trace().Count(TraceKind::kPathCompleteUnmonitored), 1u);
-  const std::string rendered = kernel.trace().ToString({"alpha", "beta", "gamma"});
+  EXPECT_EQ(events.Count(obs::Kind::kPathCompleteUnmonitored), 1u);
+  const std::string rendered =
+      obs::RenderTimeline(events.events(), {"alpha", "beta", "gamma"});
   EXPECT_NE(rendered.find("path-complete-unmonitored gamma"), std::string::npos) << rendered;
 }
 

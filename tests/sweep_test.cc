@@ -117,7 +117,6 @@ TEST(SweepEngineTest, RowsMatchDirectSerialRuns) {
       config.backend = point.backend;
       config.kernel.seed = point.seed;
       config.kernel.max_wall_time = grid.max_wall;
-      config.kernel.record_trace = false;
       StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
           ArtemisRuntime::Create(&app.graph, point.spec_text, mcu.get(), config);
       ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -128,7 +127,6 @@ TEST(SweepEngineTest, RowsMatchDirectSerialRuns) {
       KernelOptions options;
       options.seed = point.seed;
       options.max_wall_time = grid.max_wall;
-      options.record_trace = false;
       StatusOr<std::unique_ptr<MayflyRuntime>> runtime =
           MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
       ASSERT_TRUE(runtime.ok());
@@ -276,6 +274,33 @@ TEST(SweepEngineTest, CollectStatsDoesNotPerturbSimulation) {
   ASSERT_TRUE(observed.value().rows[0].stats.has_value());
   EXPECT_GT(observed.value().rows[0].stats->total_events(), 0u);
   EXPECT_FALSE(plain.value().rows[0].stats.has_value());
+}
+
+TEST(SweepEngineTest, PostRunHookSeesThePointsEventsWithoutPerturbing) {
+  sweep::SweepSpec grid;
+  grid.systems = {"artemis", "mayfly"};
+  grid.charges = {Charge(6)};
+  grid.budgets = {kBudget};
+  grid.max_wall = 2 * kHour;
+  StatusOr<sweep::SweepOutcome> plain = sweep::RunSweep(grid, 1);
+  grid.post_run = [](const sweep::SweepPoint&, const sweep::SweepRunArtifacts& artifacts,
+                     sweep::SweepRow* row) {
+    double boots = 0;
+    for (const obs::Event& e : *artifacts.events) {
+      boots += e.kind == obs::Kind::kKernelBoot ? 1 : 0;
+    }
+    row->metrics.emplace_back("kernel_boots", boots);
+  };
+  StatusOr<sweep::SweepOutcome> hooked = sweep::RunSweep(grid, 2);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(hooked.ok());
+  for (std::size_t i = 0; i < 2; ++i) {
+    const sweep::SweepRow& row = hooked.value().rows[i];
+    EXPECT_EQ(row.result.finished_at, plain.value().rows[i].result.finished_at);
+    ASSERT_EQ(row.metrics.size(), 1u);
+    // The first boot plus one per power failure.
+    EXPECT_EQ(row.metrics[0].second, 1.0 + static_cast<double>(row.result.stats.reboots));
+  }
 }
 
 TEST(SweepChargeScheduleTest, ParsesNamedBinsAndContinuous) {

@@ -106,15 +106,19 @@ TEST(ClockTimekeeperIntegrationTest, SaturatingTimekeeperMasksMitd) {
                  .WithFixedCharge(19'500.0, 6 * kMinute - kSecond)
                  .WithTimekeeper(std::make_unique<RemanenceTimekeeper>(30 * kSecond, 0.0))
                  .Build();
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
   config.kernel.max_wall_time = 8 * kHour;
+  config.kernel.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   const KernelRunResult result = runtime.value()->Run();
   EXPECT_TRUE(result.completed);
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    if (r.kind == TraceKind::kViolation) {
-      EXPECT_EQ(r.detail.find("MITD"), std::string::npos)
+  for (const obs::Event& e : events.events()) {
+    if (e.kind == obs::Kind::kViolation) {
+      EXPECT_EQ(e.detail.find("MITD"), std::string::npos)
           << "MITD fired despite the saturated timekeeper";
     }
   }
@@ -123,17 +127,21 @@ TEST(ClockTimekeeperIntegrationTest, SaturatingTimekeeperMasksMitd) {
 TEST(TraceTrueTimeTest, TrueTimeTracksSimulation) {
   HealthApp app = BuildHealthApp();
   auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, kMinute).Build();
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  bus.AddSink(&events);
   ArtemisConfig config;
   config.kernel.max_wall_time = 2 * kHour;
+  config.kernel.observer = &bus;
   auto runtime = ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), config);
   ASSERT_TRUE(runtime.ok());
   ASSERT_TRUE(runtime.value()->Run().completed);
   // Without a timekeeper the clocks agree; true_time is monotonic.
   SimTime last = 0;
-  for (const TraceRecord& r : runtime.value()->kernel().trace().records()) {
-    EXPECT_EQ(r.time, r.true_time);
-    EXPECT_GE(r.true_time, last);
-    last = r.true_time;
+  for (const obs::Event& e : events.events()) {
+    EXPECT_EQ(e.time, e.true_time);
+    EXPECT_GE(e.true_time, last);
+    last = e.true_time;
   }
 }
 

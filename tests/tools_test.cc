@@ -1,6 +1,7 @@
 // CLI-level tests for the artemisc toolchain binary: exit codes and key
 // output fragments across the check / pretty / codegen / dot / simulate
-// verbs. The binary path comes from CMake via ARTEMISC_BIN.
+// verbs. The binary path comes from CMake via ARTEMISC_BIN, the source tree
+// (for goldens) via ARTEMIS_SOURCE_DIR.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,9 @@ namespace {
 
 #ifndef ARTEMISC_BIN
 #define ARTEMISC_BIN "artemisc"
+#endif
+#ifndef ARTEMIS_SOURCE_DIR
+#define ARTEMIS_SOURCE_DIR "."
 #endif
 
 std::string WriteTempSpec(const std::string& name, const std::string& content) {
@@ -185,6 +189,20 @@ TEST(ArtemiscTest, SimulateMayflyNonTermination) {
       RunCli("simulate --app health --system mayfly --charge 6min --budget 19500");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("non-termination"), std::string::npos);
+}
+
+// The text timeline, pinned byte for byte: boot, power-failure aborts, MITD
+// violations, path restarts and the maxAttempt path skip.
+TEST(ArtemiscTest, SimulateTraceMatchesGolden) {
+  const RunResult result =
+      RunCli("simulate --app health --charge 6min --budget 19500 --trace");
+  EXPECT_EQ(result.exit_code, 0);
+  std::ifstream in(std::string(ARTEMIS_SOURCE_DIR) +
+                   "/tests/golden/cli/simulate_health_6min_trace.txt");
+  ASSERT_TRUE(in.good());
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(result.output, golden);
 }
 
 TEST(ArtemiscTest, SimulateGreenhouse) {

@@ -120,7 +120,6 @@ TEST_P(TraceDrivenRunTest, HealthAppSurvivesGeneratedEnvironment) {
                  .Build();
   ArtemisConfig runtime_config;
   runtime_config.kernel.max_wall_time = 5 * kHour;
-  runtime_config.kernel.record_trace = false;
   auto runtime =
       ArtemisRuntime::Create(&app.graph, HealthAppSpec(), mcu.get(), runtime_config);
   ASSERT_TRUE(runtime.ok());

@@ -800,7 +800,6 @@ int RunProfile(const Args& args) {
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
   ArtemisConfig config;
   config.backend = args.backend;
-  config.kernel.record_trace = false;
   auto runtime =
       ArtemisRuntime::Create(&app->graph, app->default_spec, mcu.get(), config);
   if (!runtime.ok()) {
@@ -852,22 +851,28 @@ int RunSimulate(const Args& args) {
   }
   auto mcu = platform.Build();
 
+  // The timeline is rendered from the kernel's bus events, so they are
+  // only collected when --trace asks for them.
+  obs::EventBus bus;
+  obs::CollectingSink events;
+  obs::EventBus* observer = nullptr;
+  if (args.trace) {
+    bus.AddSink(&events);
+    observer = &bus;
+  }
+
   KernelRunResult result;
-  const ExecutionTrace* trace = nullptr;
-  std::unique_ptr<ArtemisRuntime> artemis_runtime;
-  std::unique_ptr<MayflyRuntime> mayfly_runtime;
   if (args.system == "artemis") {
     ArtemisConfig config;
     config.backend = args.backend;
     config.kernel.max_wall_time = 12 * kHour;
+    config.kernel.observer = observer;
     auto runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
     if (!runtime.ok()) {
       std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
       return 1;
     }
-    artemis_runtime = std::move(runtime).value();
-    result = artemis_runtime->Run();
-    trace = &artemis_runtime->kernel().trace();
+    result = runtime.value()->Run();
   } else if (args.system == "mayfly") {
     auto parsed = ParseSpec(args, source);
     if (!parsed.ok()) {
@@ -876,25 +881,24 @@ int RunSimulate(const Args& args) {
     }
     KernelOptions options;
     options.max_wall_time = 12 * kHour;
+    options.observer = observer;
     auto runtime = MayflyRuntime::Create(&app->graph, parsed.value(), mcu.get(), options);
     if (!runtime.ok()) {
       std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
       return 1;
     }
-    mayfly_runtime = std::move(runtime).value();
-    result = mayfly_runtime->Run();
-    trace = &mayfly_runtime->kernel().trace();
+    result = runtime.value()->Run();
   } else {
     std::fprintf(stderr, "artemisc: unknown system '%s'\n", args.system.c_str());
     return 2;
   }
 
-  if (args.trace && trace != nullptr) {
+  if (args.trace) {
     std::vector<std::string> names;
     for (TaskId t = 0; t < app->graph.task_count(); ++t) {
       names.push_back(app->graph.TaskName(t));
     }
-    std::printf("%s", trace->ToString(names).c_str());
+    std::printf("%s", obs::RenderTimeline(events.events(), names).c_str());
   }
   std::printf("system=%s app=%s completed=%s wall=%s reboots=%llu energy=%s\n",
               args.system.c_str(),

@@ -54,8 +54,8 @@ int main() {
   std::printf("%-24s %-10s %-16s %-12s %-12s\n", "timekeeper", "done", "MITD violations",
               "stale sends", "wall");
 
-  // Task/path ids for the trace audit (identical in every per-point graph
-  // instance — the app builder is deterministic).
+  // Task/path ids for the trace audit (identical to the sweep's shared
+  // graph — the app builder is deterministic).
   const HealthApp app = BuildHealthApp();
 
   sweep::SweepSpec grid;

@@ -594,7 +594,7 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
 
   // One pipeline run for the whole fleet: parse/validate/lower/compile
   // against a template graph, shared read-only across every shard.
-  const AppGraph template_graph = sweep::BuildAppGraphByName(spec.app);
+  const AppGraph& template_graph = sweep::SharedAppGraph(spec.app);
   const SpecArtifactStage stage = spec.monitor == "batch"
                                       ? SpecArtifactStage::kCompiled
                                       : StageForBackend(spec.backend);
@@ -648,7 +648,9 @@ StatusOr<FleetOutcome> RunFleet(const FleetSpec& spec) {
     for (std::uint64_t begin = range.begin; begin < range.end; begin += spec.tile) {
       const std::uint64_t end = std::min<std::uint64_t>(begin + spec.tile, range.end);
       const std::uint32_t n = static_cast<std::uint32_t>(end - begin);
-      streams.assign(n, {});
+      // RunCapture clears each stream and refills it in place, so the
+      // buffers keep their capacity from tile to tile.
+      streams.resize(n);
       result_ptrs.assign(n, nullptr);
       for (std::uint32_t lane = 0; lane < n; ++lane) {
         DeviceInstance instance(ctx, ConfigForDevice(spec, begin + lane));

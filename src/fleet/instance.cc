@@ -50,8 +50,9 @@ std::uint64_t DeviceSeed(std::uint64_t fleet_seed, std::uint64_t device_index) {
 
 // ---- CaptureChecker ------------------------------------------------------
 
-CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes)
-    : step_cycles_(std::move(step_cycles)), fram_bytes_(fram_bytes) {}
+CaptureChecker::CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
+                               std::vector<CapturedRecord>* records)
+    : step_cycles_(std::move(step_cycles)), fram_bytes_(fram_bytes), records_(records) {}
 
 void CaptureChecker::HardReset(Mcu& mcu) {
   if (!arena_registered_) {
@@ -89,20 +90,18 @@ CheckOutcome CaptureChecker::OnEvent(const MonitorEvent& event, Mcu& mcu) {
     cursor_seq_ = event.seq;
     cursor_ = 0;
   }
-  for (std::size_t i = cursor_; i < step_cycles_.size(); ++i) {
-    const ExecStatus step = mcu.ExecuteCycles(step_cycles_[i], CostTag::kMonitor);
-    if (step != ExecStatus::kOk) {
-      // Power failed before this monitor durably consumed the event; the
-      // cursor still points at it, so the re-delivered event resumes here.
-      outcome.status = static_cast<int>(step);
-      return outcome;
-    }
-    cursor_ = i + 1;
+  const ExecStatus step = ChargeMonitorSteps(mcu, step_cycles_, cursor_, CostTag::kMonitor,
+                                             [this](std::size_t i) { cursor_ = i + 1; });
+  if (step != ExecStatus::kOk) {
+    // Power failed before the next monitor durably consumed the event; the
+    // cursor still points at it, so the re-delivered event resumes there.
+    outcome.status = static_cast<int>(step);
+    return outcome;
   }
   CapturedRecord record;
   record.kind = CapturedRecord::Kind::kEvent;
   record.event = event;
-  records_.push_back(std::move(record));
+  records_->push_back(std::move(record));
   ++events_captured_;
   in_progress_ = false;
   done_seq_ = event.seq;
@@ -115,7 +114,7 @@ void CaptureChecker::OnPathRestart(PathId path, Mcu& mcu) {
   CapturedRecord record;
   record.kind = CapturedRecord::Kind::kPathRestart;
   record.restart_path = path;
-  records_.push_back(record);
+  records_->push_back(record);
 }
 
 // ---- DeviceInstance ------------------------------------------------------
@@ -163,7 +162,7 @@ DeviceResult DeviceInstance::Finish(const KernelRunResult& run,
 }
 
 DeviceResult DeviceInstance::RunScalar() {
-  AppGraph graph = sweep::BuildAppGraphByName(ctx_.app);
+  const AppGraph& graph = sweep::SharedAppGraph(ctx_.app);
   PlatformBuilder builder;
   if (config_.charge == 0) {
     builder.WithContinuousPower();
@@ -202,7 +201,7 @@ DeviceResult DeviceInstance::RunScalar() {
 }
 
 DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
-  AppGraph graph = sweep::BuildAppGraphByName(ctx_.app);
+  const AppGraph& graph = sweep::SharedAppGraph(ctx_.app);
   PlatformBuilder builder;
   if (config_.charge == 0) {
     builder.WithContinuousPower();
@@ -220,8 +219,9 @@ DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
     mcu->set_observer(observer);
   }
 
+  records->clear();
   CaptureChecker checker(CompiledStepCycles(*ctx_.artifact, mcu->costs()),
-                         MirroredFramBytes(*ctx_.artifact));
+                         MirroredFramBytes(*ctx_.artifact), records);
   KernelOptions options;
   options.seed = config_.seed;
   options.max_wall_time = config_.horizon;
@@ -230,7 +230,6 @@ DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
   options.observer = observer;
   IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
   const KernelRunResult run = kernel.Run();
-  *records = checker.TakeRecords();
   // monitor_events/violations stay 0 here: the batch pass owns them.
   return Finish(run, kernel, 0, 0, config_.collect_obs ? &aggregator : nullptr);
 }

@@ -9,8 +9,8 @@
 //    pointer reaches into another instance, so instances can be built,
 //    run, and destroyed on any shard worker in any order;
 //  * everything devices share — the compiled spec artifact, cost model,
-//    app-graph template — is read-only behind a FleetContext, so sharing
-//    it across worker threads is safe by construction;
+//    the app graph (sweep::SharedAppGraph) — is read-only, so sharing it
+//    across worker threads is safe by construction;
 //  * a device's result depends only on its DeviceConfig (index, seed,
 //    energy axes); never on which shard ran it or when.
 //
@@ -119,13 +119,15 @@ struct CapturedRecord {
 
 // PropertyChecker that charges exactly the cycles MonitorSet would charge
 // (interface crossing, per-monitor step, resume-after-outage continuation,
-// path-restart application) but records the event stream instead of
-// stepping monitors. Never returns a verdict.
+// path-restart application) but appends the event stream to `records`
+// instead of stepping monitors. Never returns a verdict.
 class CaptureChecker final : public PropertyChecker {
  public:
   // `step_cycles[i]` is monitor i's per-event cost; `fram_bytes` the
-  // MonitorSet footprint to mirror in the NVM arena image.
-  CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes);
+  // MonitorSet footprint to mirror in the NVM arena image; `records` (not
+  // owned) receives the captured stream.
+  CaptureChecker(std::vector<double> step_cycles, std::size_t fram_bytes,
+                 std::vector<CapturedRecord>* records);
 
   void HardReset(Mcu& mcu) override;
   void Finalize(Mcu& mcu) override;
@@ -133,8 +135,6 @@ class CaptureChecker final : public PropertyChecker {
   void OnPathRestart(PathId path, Mcu& mcu) override;
   std::string Name() const override { return "fleet-capture"; }
 
-  const std::vector<CapturedRecord>& records() const { return records_; }
-  std::vector<CapturedRecord>&& TakeRecords() { return std::move(records_); }
   std::uint64_t events_captured() const { return events_captured_; }
 
  private:
@@ -149,14 +149,15 @@ class CaptureChecker final : public PropertyChecker {
   bool has_done_ = false;
   std::uint64_t done_seq_ = 0;
 
-  std::vector<CapturedRecord> records_;
+  std::vector<CapturedRecord>* records_;
   std::uint64_t events_captured_ = 0;
 };
 
-// Read-only state shared by every instance of one fleet run. Each
-// instance builds its own AppGraph from `app` (the sweep engine's
-// one-graph-per-simulation isolation rule); the compiled artifact is
-// immutable by construction and shared across all shards.
+// Read-only state shared by every instance of one fleet run. Every
+// instance runs over the process-wide immutable sweep::SharedAppGraph(app)
+// (a graph holds no per-device state; see src/kernel/task.h), and the
+// compiled artifact is immutable by construction; both are shared across
+// all shards.
 struct FleetContext {
   std::string app = "health";
   SharedSpecArtifactPtr artifact;
@@ -171,8 +172,10 @@ class DeviceInstance {
   DeviceResult RunScalar();
 
   // Capture-mode run: same device, monitor cycles charged but events
-  // captured into `records` for the batched monitor pass. `monitor_events`
-  // and `violations` are left 0 in the result; the fleet layer fills them
+  // captured into `records` for the batched monitor pass. `records` is
+  // cleared first and refilled in place (its capacity is reused), so on
+  // return it holds exactly this device's stream. `monitor_events` and
+  // `violations` are left 0 in the result; the fleet layer fills them
   // after the batch pass. One-shot.
   DeviceResult RunCapture(std::vector<CapturedRecord>* records);
 

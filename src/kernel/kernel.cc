@@ -48,7 +48,7 @@ TaskId IntermittentKernel::current_task() const {
 }
 
 void IntermittentKernel::Trace(obs::Kind kind, TaskId task, ActionType action,
-                               const std::string& detail, double value) {
+                               std::string_view detail, double value) {
   if (options_.observer == nullptr) {
     return;
   }
@@ -62,7 +62,7 @@ void IntermittentKernel::Trace(obs::Kind kind, TaskId task, ActionType action,
                    .value = value,
                    .energy_uj = mcu_->stats().TotalEnergy(),
                    .energy_fraction = mcu_->power_model().StoredEnergyFraction(),
-                   .detail = detail};
+                   .detail = std::string(detail)};
   if (action != ActionType::kNone) {
     event.action = ActionTypeName(action);
   }
@@ -284,7 +284,7 @@ ExecStatus IntermittentKernel::CommitTask(TaskId task, TaskContext& ctx) {
   channels_.RecordCompletion(task, cur_finish_ts_);
   ++profiles_[task].commits;
   cur_status_ = TaskStatus::kFinished;
-  Trace(obs::Kind::kCommit, task, ActionType::kNone, "", static_cast<double>(bytes));
+  Trace(obs::Kind::kCommit, task, ActionType::kNone, {}, static_cast<double>(bytes));
   // The commit itself is already durable; the record is best-effort. An
   // interrupted append is not retried after the reboot (the kernel resumes
   // in kFinished), so a lost commit record just leaves a gap in the log.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -151,7 +152,7 @@ class IntermittentKernel {
   // scalar (kCommit: committed bytes); task end/abort events carry the
   // task's cumulative profile instead.
   void Trace(obs::Kind kind, TaskId task, ActionType action = ActionType::kNone,
-             const std::string& detail = "", double value = 0.0);
+             std::string_view detail = {}, double value = 0.0);
 
   const AppGraph* graph_;
   PropertyChecker* checker_;

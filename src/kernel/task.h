@@ -28,6 +28,13 @@ class TaskContext;  // Defined in channel.h.
 // The data-manipulation body of a task; runs exactly once per committed
 // execution, at commit time, so re-execution after a power failure is
 // idempotent by construction.
+//
+// Invariant: an effect is stateless. It may capture constants, but it
+// keeps no mutable state of its own; it draws randomness only through
+// TaskContext::rng() (the kernel's per-device Rng) and reads and writes
+// data only through the TaskContext (the kernel's ChannelStore). One
+// AppGraph can therefore be shared, immutable, by any number of devices
+// running concurrently (sweep::SharedAppGraph).
 using TaskEffect = std::function<void(TaskContext&)>;
 
 struct TaskWork {

@@ -42,6 +42,7 @@ std::size_t MonitorSet::InlinedTextBytes(std::size_t separate_text_bytes,
 
 void MonitorSet::Add(std::unique_ptr<Monitor> monitor) {
   monitors_.push_back(std::move(monitor));
+  step_cycles_valid_ = false;
 }
 
 void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors) {
@@ -51,7 +52,27 @@ void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors)
   // original registration: the swap stages the new image into the same
   // monitor region (docs/hotswap.md sizes it as max(old, new)).
   monitors_ = std::move(monitors);
+  step_cycles_valid_ = false;
   pending_.clear();
+}
+
+const std::vector<double>& MonitorSet::StepCycles(const CostModel& costs) {
+  if (!step_cycles_valid_) {
+    step_cycles_.clear();
+    for (const auto& monitor : monitors_) {
+      step_cycles_.push_back(monitor->StepCycles(costs));
+    }
+    step_cycles_valid_ = true;
+  }
+  return step_cycles_;
+}
+
+void MonitorSet::StepMonitor(std::size_t i, const MonitorEvent& event) {
+  MonitorVerdict verdict;
+  if (monitors_[i]->Step(event, &verdict)) {
+    pending_.push_back(verdict);
+  }
+  continuation_.CompleteStep();
 }
 
 std::size_t MonitorSet::FramBytes() const {
@@ -72,6 +93,7 @@ void MonitorSet::HardReset(Mcu& mcu) {
   for (const auto& monitor : monitors_) {
     monitor->HardReset();
   }
+  step_cycles_valid_ = false;
   pending_.clear();
   done_seq_ = 0;
   has_cached_verdict_ = false;
@@ -149,23 +171,21 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
   // device and cost the local MCU nothing beyond the radio.
   const CostTag step_tag =
       placement_ == MonitorPlacement::kInlined ? CostTag::kRuntime : CostTag::kMonitor;
-  for (std::size_t i = first; i < monitors_.size(); ++i) {
-    ExecStatus step = ExecStatus::kOk;
-    if (placement_ != MonitorPlacement::kRemote) {
-      step = mcu.ExecuteCycles(monitors_[i]->StepCycles(mcu.costs()), step_tag);
+  if (placement_ == MonitorPlacement::kRemote) {
+    for (std::size_t i = first; i < monitors_.size(); ++i) {
+      StepMonitor(i, event);
     }
+  } else {
+    const ExecStatus step =
+        ChargeMonitorSteps(mcu, StepCycles(mcu.costs()), first, step_tag,
+                           [&](std::size_t i) { StepMonitor(i, event); });
     if (step != ExecStatus::kOk) {
-      // Power failed before this monitor durably consumed the event; the
-      // continuation cursor still points at it, so the re-delivered event
-      // resumes here.
+      // Power failed before the next monitor durably consumed the event;
+      // the continuation cursor still points at it, so the re-delivered
+      // event resumes there.
       outcome.status = static_cast<int>(step);
       return outcome;
     }
-    MonitorVerdict verdict;
-    if (monitors_[i]->Step(event, &verdict)) {
-      pending_.push_back(verdict);
-    }
-    continuation_.CompleteStep();
   }
 
   MonitorVerdict verdict = Arbitrate(pending_, policy_);

@@ -29,6 +29,7 @@
 #include "src/monitor/arbitration.h"
 #include "src/monitor/monitor.h"
 #include "src/obs/bus.h"
+#include "src/sim/mcu.h"
 #include "src/spec/ast.h"
 
 namespace artemis {
@@ -65,6 +66,33 @@ struct MonitorSetOptions {
   MonitorPlacement placement = MonitorPlacement::kSeparate;
   RadioProfile radio;  // Used by kRemote only.
 };
+
+// Charges monitors `first..` their per-event step costs, one
+// Mcu::ExecuteCyclesRepeated call per run of equal costs, and calls
+// `stepped(i)` for every monitor whose charge completed, in index order.
+// Returns the first non-kOk status — the monitors before the failing one
+// have been stepped, the failing one has not — or kOk. The simulated
+// outcome equals one ExecuteCycles + step per monitor.
+template <typename Stepped>
+ExecStatus ChargeMonitorSteps(Mcu& mcu, const std::vector<double>& step_cycles,
+                              std::size_t first, CostTag tag, Stepped&& stepped) {
+  for (std::size_t i = first; i < step_cycles.size();) {
+    std::size_t end = i + 1;
+    while (end < step_cycles.size() && step_cycles[end] == step_cycles[i]) {
+      ++end;
+    }
+    std::size_t charged = 0;
+    const ExecStatus status = mcu.ExecuteCyclesRepeated(step_cycles[i], end - i, tag, &charged);
+    for (std::size_t m = i; m < i + charged; ++m) {
+      stepped(m);
+    }
+    if (status != ExecStatus::kOk) {
+      return status;
+    }
+    i = end;
+  }
+  return ExecStatus::kOk;
+}
 
 class MonitorSet : public PropertyChecker {
  public:
@@ -124,10 +152,17 @@ class MonitorSet : public PropertyChecker {
   void ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors);
 
  private:
+  // Per-monitor StepCycles, computed once per monitor collection and boot
+  // (HardReset) instead of once per monitor per event.
+  const std::vector<double>& StepCycles(const CostModel& costs);
+  void StepMonitor(std::size_t i, const MonitorEvent& event);
+
   ArbitrationPolicy policy_;
   MonitorPlacement placement_ = MonitorPlacement::kSeparate;
   RadioProfile radio_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
+  std::vector<double> step_cycles_;
+  bool step_cycles_valid_ = false;
   obs::EventBus* obs_ = nullptr;
   flight::FlightRecorder* flight_ = nullptr;
 

@@ -41,6 +41,31 @@ ExecStatus Mcu::ExecuteCycles(double cycles, CostTag tag) {
   return Execute(costs_.CyclesToTime(cycles), costs_.mcu_active_power, tag);
 }
 
+ExecStatus Mcu::ExecuteCyclesRepeated(double cycles, std::size_t n, CostTag tag,
+                                      std::size_t* done) {
+  const SimDuration duration = costs_.CyclesToTime(cycles);
+  const Milliwatts power = costs_.mcu_active_power;
+  std::size_t k = starved_ ? 0 : power_->ConsumeRepeated(duration, power, n);
+  if (k > 0) {
+    const int idx = static_cast<int>(tag);
+    const EnergyUj energy = EnergyFor(power, duration);
+    for (std::size_t i = 0; i < k; ++i) {
+      stats_.energy[idx] += energy;
+    }
+    stats_.busy_time[idx] += k * duration;
+    clock_.Advance(k * duration);
+  }
+  ExecStatus status = ExecStatus::kOk;
+  for (; k < n; ++k) {
+    status = ExecuteInternal(duration, power, tag, 0);
+    if (status != ExecStatus::kOk) {
+      break;
+    }
+  }
+  *done = k;
+  return status;
+}
+
 SimTime Mcu::ReadClock(CostTag tag) {
   ExecuteCycles(costs_.timestamp_read_cycles, tag);
   return clock_.Read();

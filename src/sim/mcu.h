@@ -10,6 +10,7 @@
 #define SRC_SIM_MCU_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,6 +59,16 @@ class Mcu : public flight::FlightPort {
 
   // Convenience: runs `cycles` CPU cycles at the MCU active power.
   ExecStatus ExecuteCycles(double cycles, CostTag tag);
+
+  // Exactly `n` back-to-back ExecuteCycles(cycles, tag) calls, stopping at
+  // the first non-kOk status; `*done` receives how many completed. The
+  // leading operations the power model can commit in one go
+  // (PowerModel::ConsumeRepeated) are accounted without a per-operation
+  // model call — energy is still added once per operation, in order, so
+  // every statistic is bit-identical to the loop — and the rest, including
+  // the one that fails, take the ExecuteCycles path.
+  ExecStatus ExecuteCyclesRepeated(double cycles, std::size_t n, CostTag tag,
+                                   std::size_t* done);
 
   // Device clock read without cost (for assertions / logging).
   SimTime Now() const { return clock_.Read(); }

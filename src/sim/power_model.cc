@@ -36,6 +36,19 @@ ConsumeResult FixedChargePowerModel::Consume(SimTime now, SimDuration duration,
                        .consumed = used};
 }
 
+std::size_t FixedChargePowerModel::ConsumeRepeated(SimDuration duration, Milliwatts power,
+                                                   std::size_t n) {
+  // Consume's completing branch, step by step, so `remaining_` rounds
+  // exactly as n single calls would.
+  const EnergyUj need = EnergyFor(power, duration);
+  std::size_t done = 0;
+  while (done < n && (need <= remaining_ || power <= 0.0)) {
+    remaining_ -= std::min(need, remaining_);
+    ++done;
+  }
+  return done;
+}
+
 void FixedChargePowerModel::NotifyReboot(SimTime /*now*/) { remaining_ = on_budget_; }
 
 double FixedChargePowerModel::StoredEnergyFraction() const {

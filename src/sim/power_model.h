@@ -8,6 +8,7 @@
 #ifndef SRC_SIM_POWER_MODEL_H_
 #define SRC_SIM_POWER_MODEL_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,6 +42,17 @@ class PowerModel {
   // runs or the device dies partway through.
   virtual ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) = 0;
 
+  // Fast path for `n` back-to-back identical operations: returns how many
+  // leading ones complete and commits the model's state for exactly those,
+  // as if Consume had been called once per operation (each completing one
+  // drawing EnergyFor(power, duration)). The default, 0, sends every
+  // operation through Consume; a model overrides it only where the
+  // repeated form is cheaper and provably equal.
+  virtual std::size_t ConsumeRepeated(SimDuration /*duration*/, Milliwatts /*power*/,
+                                      std::size_t /*n*/) {
+    return 0;
+  }
+
   // Called when the device boots (first boot and after every power failure).
   virtual void NotifyReboot(SimTime now) { (void)now; }
 
@@ -57,6 +69,7 @@ class PowerModel {
 class AlwaysOnPowerModel : public PowerModel {
  public:
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override;
+  std::size_t ConsumeRepeated(SimDuration, Milliwatts, std::size_t n) override { return n; }
   std::string Name() const override { return "always-on"; }
 };
 
@@ -69,6 +82,7 @@ class FixedChargePowerModel : public PowerModel {
   FixedChargePowerModel(EnergyUj on_budget, SimDuration charge_time);
 
   ConsumeResult Consume(SimTime now, SimDuration duration, Milliwatts power) override;
+  std::size_t ConsumeRepeated(SimDuration duration, Milliwatts power, std::size_t n) override;
   void NotifyReboot(SimTime now) override;
   double StoredEnergyFraction() const override;
   std::string Name() const override { return "fixed-charge"; }

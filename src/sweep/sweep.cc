@@ -22,9 +22,6 @@
 
 namespace artemis::sweep {
 
-// The engine builds a fresh graph per simulation: task bodies may close
-// over per-instance sensor state, so sharing one graph across concurrent
-// simulations would be a determinism (and thread-safety) hole.
 AppGraph BuildAppGraphByName(const std::string& app) {
   if (app == "greenhouse") {
     return std::move(BuildGreenhouseApp().graph);
@@ -33,6 +30,21 @@ AppGraph BuildAppGraphByName(const std::string& app) {
     return std::move(BuildArApp().graph);
   }
   return std::move(BuildHealthApp().graph);
+}
+
+// Function-local statics: each graph is built once, on first use, under
+// the language's thread-safe initialisation, then only read.
+const AppGraph& SharedAppGraph(const std::string& app) {
+  if (app == "greenhouse") {
+    static const AppGraph greenhouse = BuildAppGraphByName("greenhouse");
+    return greenhouse;
+  }
+  if (app == "ar") {
+    static const AppGraph ar = BuildAppGraphByName("ar");
+    return ar;
+  }
+  static const AppGraph health = BuildAppGraphByName("health");
+  return health;
 }
 
 StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
@@ -298,7 +310,7 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   row.budget = point.budget;
   row.seed = point.seed;
 
-  AppGraph graph = BuildAppGraphByName(point.app);
+  const AppGraph& graph = SharedAppGraph(point.app);
 
   PlatformBuilder builder;
   if (point.charge == 0) {
@@ -504,7 +516,7 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
   // first-appearance order, so the failing spec is deterministic for any
   // job count), before a single point has burned simulation time.
   if (spec.analyze) {
-    const AppGraph graph = BuildAppGraphByName(spec.app);
+    const AppGraph& graph = SharedAppGraph(spec.app);
     std::vector<std::string> seen;
     for (const SweepPoint& point : points.value()) {
       if (std::find(seen.begin(), seen.end(), point.spec_text) != seen.end()) {

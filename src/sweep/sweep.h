@@ -5,9 +5,10 @@
 // engine expands their cartesian product into SweepPoints and executes them
 // across N worker threads. Determinism contract (docs/sweep.md):
 //
-//  * every point is an isolated simulation — its own AppGraph, Mcu, kernel,
-//    monitor state, and observability bus — whose result depends only on
-//    the point's coordinates, never on scheduling;
+//  * every point is an isolated simulation — its own Mcu, kernel, monitor
+//    state, and observability bus over the app's shared immutable
+//    AppGraph — whose result depends only on the point's coordinates,
+//    never on scheduling;
 //  * results land in a pre-sized table slot indexed by the point's grid
 //    index, so the collected table (and the JSON/CSV/console renderings of
 //    it) is byte-identical for --jobs 1 and --jobs N;
@@ -167,10 +168,17 @@ struct SweepOutcome {
   bool AllOk() const;
 };
 
-// Builds a fresh per-run AppGraph ("health" | "greenhouse" | "ar";
-// anything else falls back to health). Exposed for the fleet engine,
-// which shares the sweep's one-graph-per-simulation isolation rule.
+// Builds a new AppGraph ("health" | "greenhouse" | "ar"; anything else
+// falls back to health).
 AppGraph BuildAppGraphByName(const std::string& app);
+
+// The process-wide immutable graph of `app` (same fallback), built once
+// from BuildAppGraphByName and shared by every sweep point and fleet
+// device on every thread. Sharing is safe because a graph holds no
+// per-device state: task effects are stateless (src/kernel/task.h), draw
+// randomness only from the kernel's per-device Rng (TaskContext::rng()),
+// and keep every datum in the kernel's ChannelStore.
+const AppGraph& SharedAppGraph(const std::string& app);
 
 // The app's embedded default property spec; Invalid for an unknown app name.
 // This is the engines' app-name check (BuildAppGraphByName never fails).

@@ -150,6 +150,27 @@ TEST(FleetDeterminismTest, ScalarModeByteIdenticalAcrossShardCounts) {
   }
 }
 
+// In-loop monitors under outages with mixed budgets, on 4 shard threads:
+// every worker runs its devices over the one shared app graph while power
+// fails inside task bodies and monitor charges.
+TEST(FleetDeterminismTest, ScalarOutageByteIdenticalAcrossShardCounts) {
+  FleetSpec base = SmallFleet("scalar", 1);
+  base.devices = 16;
+  base.charges = {1 * kMinute - kSecond, 6 * kMinute - kSecond};
+  base.budgets = {19'500.0, 12'000.0, 6'000.0};
+  base.iterations = 0;
+  base.horizon = 30 * kMinute;
+  StatusOr<FleetOutcome> one = RunFleet(base);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_GT(one.value().agg.reboots, 0u);
+  const std::string golden = RenderFleetJson(base, one.value());
+  FleetSpec sharded = base;
+  sharded.shards = 4;
+  StatusOr<FleetOutcome> outcome = RunFleet(sharded);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(RenderFleetJson(sharded, outcome.value()), golden);
+}
+
 TEST(FleetDeterminismTest, BatchModeIndependentOfTileSize) {
   const FleetSpec base = SmallFleet("batch", 2);
   StatusOr<FleetOutcome> one = RunFleet(base);

@@ -2,8 +2,17 @@
 // full outage sequence.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/flight/recorder.h"
+#include "src/monitor/monitor_set.h"
+#include "src/obs/bus.h"
 #include "src/sim/clock.h"
 #include "src/sim/mcu.h"
 #include "src/sim/memory.h"
@@ -184,6 +193,258 @@ TEST(CostTagTest, NamesForAllTags) {
   EXPECT_STREQ(CostTagName(CostTag::kMonitor), "monitor");
   EXPECT_STREQ(CostTagName(CostTag::kReboot), "reboot");
   EXPECT_STREQ(CostTagName(CostTag::kFlight), "flight");
+}
+
+// -------------------------------------------------------- fused charging --
+//
+// Mcu::ExecuteCyclesRepeated(c, n) is defined as n back-to-back
+// ExecuteCycles(c) calls that stop at the first non-kOk status. Each case
+// builds two identical devices (obs bus and flight recorder attached), runs
+// the fused call on one and the loop on the other, and demands the same
+// status, count, statistics bit for bit, clocks, stored charge and
+// published events.
+
+using PowerFactory = std::function<std::unique_ptr<PowerModel>()>;
+
+// Members are declared so that the device is destroyed before what it
+// points at.
+struct Rig {
+  explicit Rig(const PowerFactory& power)
+      : recorder(256, flight::FlightLevel::kFull), mcu(power(), DefaultCostModel()) {
+    bus.AddSink(&sink);
+    mcu.set_observer(&bus);
+    EXPECT_TRUE(mcu.AttachFlightRecorder(&recorder).ok());
+  }
+  obs::CollectingSink sink;
+  obs::EventBus bus;
+  flight::FlightRecorder recorder;
+  Mcu mcu;
+};
+
+ExecStatus LoopCycles(Mcu& mcu, double cycles, std::size_t n, CostTag tag,
+                      std::size_t* done) {
+  *done = 0;
+  for (; *done < n; ++*done) {
+    const ExecStatus status = mcu.ExecuteCycles(cycles, tag);
+    if (status != ExecStatus::kOk) {
+      return status;
+    }
+  }
+  return ExecStatus::kOk;
+}
+
+void ExpectSameEvents(const std::vector<obs::Event>& a, const std::vector<obs::Event>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind) << i;
+    EXPECT_EQ(a[i].time, b[i].time) << i;
+    EXPECT_EQ(a[i].true_time, b[i].true_time) << i;
+    EXPECT_EQ(a[i].duration, b[i].duration) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].value), std::bit_cast<std::uint64_t>(b[i].value))
+        << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].energy_uj),
+              std::bit_cast<std::uint64_t>(b[i].energy_uj))
+        << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].energy_fraction),
+              std::bit_cast<std::uint64_t>(b[i].energy_fraction))
+        << i;
+  }
+}
+
+void ExpectSameDevice(Rig& fused, Rig& loop) {
+  const McuStats& a = fused.mcu.stats();
+  const McuStats& b = loop.mcu.stats();
+  for (int t = 0; t < kNumCostTags; ++t) {
+    EXPECT_EQ(a.busy_time[t], b.busy_time[t]) << CostTagName(static_cast<CostTag>(t));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.energy[t]), std::bit_cast<std::uint64_t>(b.energy[t]))
+        << CostTagName(static_cast<CostTag>(t));
+  }
+  EXPECT_EQ(a.reboots, b.reboots);
+  EXPECT_EQ(a.charging_time, b.charging_time);
+  EXPECT_EQ(fused.mcu.TrueNow(), loop.mcu.TrueNow());
+  EXPECT_EQ(fused.mcu.Now(), loop.mcu.Now());
+  EXPECT_EQ(fused.mcu.starved(), loop.mcu.starved());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.mcu.power_model().StoredEnergyFraction()),
+            std::bit_cast<std::uint64_t>(loop.mcu.power_model().StoredEnergyFraction()));
+  EXPECT_EQ(fused.recorder.current_epoch(), loop.recorder.current_epoch());
+  EXPECT_EQ(fused.recorder.stats().records_sealed, loop.recorder.stats().records_sealed);
+  ExpectSameEvents(fused.sink.events(), loop.sink.events());
+}
+
+// Runs `prefix` single charges, then `rounds` rounds of the fused call vs
+// the loop, comparing the two devices after every round. Returns the first
+// round's completed count.
+std::size_t CheckFusedEqualsLoop(const PowerFactory& power, double cycles, std::size_t n,
+                                 std::size_t prefix, int rounds) {
+  Rig fused(power);
+  Rig loop(power);
+  for (std::size_t i = 0; i < prefix; ++i) {
+    EXPECT_EQ(fused.mcu.ExecuteCycles(cycles, CostTag::kApp),
+              loop.mcu.ExecuteCycles(cycles, CostTag::kApp));
+  }
+  std::size_t first_done = 0;
+  for (int round = 0; round < rounds; ++round) {
+    std::size_t fused_done = 99;
+    std::size_t loop_done = 0;
+    const ExecStatus a =
+        fused.mcu.ExecuteCyclesRepeated(cycles, n, CostTag::kMonitor, &fused_done);
+    const ExecStatus b = LoopCycles(loop.mcu, cycles, n, CostTag::kMonitor, &loop_done);
+    EXPECT_EQ(a, b) << "round " << round;
+    EXPECT_EQ(fused_done, loop_done) << "round " << round;
+    ExpectSameDevice(fused, loop);
+    if (round == 0) {
+      first_done = fused_done;
+    }
+  }
+  return first_done;
+}
+
+TEST(McuFusedChargeTest, AlwaysOnMatchesLoop) {
+  const PowerFactory power = [] { return std::make_unique<AlwaysOnPowerModel>(); };
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 64u}) {
+    EXPECT_EQ(CheckFusedEqualsLoop(power, 18, n, 3, 4), n);
+  }
+  EXPECT_EQ(CheckFusedEqualsLoop(power, 46.5, 5, 0, 3), 5u);
+}
+
+TEST(McuFusedChargeTest, FixedChargeDiesAtEveryOffset) {
+  const CostModel& costs = DefaultCostModel();
+  const double cycles = costs.compiled_step_cycles;
+  const EnergyUj step = EnergyFor(costs.mcu_active_power, costs.CyclesToTime(cycles));
+  // The prefix drains most of a budget large enough to pay the reboot
+  // restore and the flight boot record, so the device survives its outage.
+  const std::size_t prefix = 2000;
+  constexpr std::size_t kN = 8;
+  for (std::size_t offset = 0; offset <= kN; ++offset) {
+    for (const double slack : {0.5, 0.0}) {
+      const EnergyUj budget = static_cast<double>(prefix + offset) * step + slack * step;
+      const PowerFactory power = [budget] {
+        return std::make_unique<FixedChargePowerModel>(budget, 30 * kSecond);
+      };
+      const std::size_t done = CheckFusedEqualsLoop(power, cycles, kN, prefix, 5);
+      if (slack > 0.0) {
+        EXPECT_EQ(done, offset) << "offset " << offset;
+      }
+    }
+  }
+  // A budget that cannot even boot: both sides starve identically.
+  const PowerFactory tiny = [step] {
+    return std::make_unique<FixedChargePowerModel>(3.5 * step, kSecond);
+  };
+  CheckFusedEqualsLoop(tiny, cycles, kN, 0, 3);
+}
+
+TEST(McuFusedChargeTest, CapacitorMatchesLoop) {
+  const PowerFactory power = [] {
+    return std::make_unique<CapacitorPowerModel>(CapacitorConfig{},
+                                                 std::make_unique<ConstantHarvester>(0.05));
+  };
+  CheckFusedEqualsLoop(power, 20'000, 16, 2, 6);
+}
+
+TEST(McuFusedChargeTest, TraceMatchesLoop) {
+  const PowerFactory power = [] {
+    return std::make_unique<TracePowerModel>(std::vector<std::pair<SimTime, SimTime>>{
+        {0, 100 * kMillisecond}, {kSecond, kSecond + 50 * kMillisecond}, {3 * kSecond, kHour}});
+  };
+  CheckFusedEqualsLoop(power, 9'000, 12, 1, 6);
+}
+
+TEST(McuFusedChargeTest, StochasticMatchesLoop) {
+  const PowerFactory power = [] {
+    return std::make_unique<StochasticPowerModel>(40 * kMillisecond, kSecond, 7);
+  };
+  CheckFusedEqualsLoop(power, 3'000, 20, 1, 8);
+}
+
+// A monitor that counts its steps; its per-event cost is configurable so a
+// set can mix runs of equal and differing costs.
+class CountingMonitor final : public Monitor {
+ public:
+  CountingMonitor(double cycles, int* steps) : cycles_(cycles), steps_(steps) {}
+  bool Step(const MonitorEvent&, MonitorVerdict*) override {
+    ++*steps_;
+    return false;
+  }
+  void HardReset() override {}
+  void OnPathRestart(PathId) override {}
+  const std::string& label() const override { return label_; }
+  double StepCycles(const CostModel&) const override { return cycles_; }
+  std::size_t FramBytes() const override { return 8; }
+
+ private:
+  double cycles_;
+  int* steps_;
+  std::string label_ = "counting";
+};
+
+// A power failure injected at each monitor index: the first delivery steps
+// exactly the monitors before it, the re-delivery resumes there, and every
+// monitor ends up stepped exactly once. The device matches a reference
+// that charges the same sequence one ExecuteCycles call at a time.
+TEST(McuFusedChargeTest, MonitorSetResumesAtFailingMonitor) {
+  const CostModel& costs = DefaultCostModel();
+  const std::vector<double> cycles = {18, 18, 18, 46, 46, 14, 18, 18};
+  const auto energy = [&costs](double c) {
+    return EnergyFor(costs.mcu_active_power, costs.CyclesToTime(c));
+  };
+  const std::size_t prefix = 2000;
+  for (std::size_t fail_at = 0; fail_at <= cycles.size(); ++fail_at) {
+    EnergyUj budget = static_cast<double>(prefix) * energy(18) + energy(costs.monitor_call_cycles);
+    for (std::size_t i = 0; i < fail_at; ++i) {
+      budget += energy(cycles[i]);
+    }
+    // Half of the failing monitor's charge (or, past the end, slack).
+    budget += 0.5 * energy(fail_at < cycles.size() ? cycles[fail_at] : 18);
+    const PowerFactory power = [budget] {
+      return std::make_unique<FixedChargePowerModel>(budget, 30 * kSecond);
+    };
+    Rig fused(power);
+    Rig reference(power);
+    std::vector<int> steps(cycles.size(), 0);
+    MonitorSet set;
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      set.Add(std::make_unique<CountingMonitor>(cycles[i], &steps[i]));
+    }
+    set.HardReset(fused.mcu);
+    reference.mcu.nvm().Allocate(MemOwner::kMonitor, set.FramBytes(), "monitor-set");
+    for (std::size_t i = 0; i < prefix; ++i) {
+      fused.mcu.ExecuteCycles(18, CostTag::kApp);
+      reference.mcu.ExecuteCycles(18, CostTag::kApp);
+    }
+
+    MonitorEvent event;
+    event.seq = 1;
+    const CheckOutcome first = set.OnEvent(event, fused.mcu);
+    std::size_t resume = cycles.size();
+    reference.mcu.ExecuteCycles(costs.monitor_call_cycles, CostTag::kMonitor);
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      if (reference.mcu.ExecuteCycles(cycles[i], CostTag::kMonitor) != ExecStatus::kOk) {
+        resume = i;
+        break;
+      }
+    }
+    EXPECT_EQ(resume, fail_at);
+    if (fail_at == cycles.size()) {
+      EXPECT_EQ(first.status, static_cast<int>(ExecStatus::kOk));
+    } else {
+      EXPECT_EQ(first.status, static_cast<int>(ExecStatus::kPowerFailure)) << fail_at;
+      for (std::size_t i = 0; i < cycles.size(); ++i) {
+        EXPECT_EQ(steps[i], i < fail_at ? 1 : 0) << "fail_at " << fail_at << " monitor " << i;
+      }
+      const CheckOutcome again = set.OnEvent(event, fused.mcu);
+      EXPECT_EQ(again.status, static_cast<int>(ExecStatus::kOk)) << fail_at;
+      reference.mcu.ExecuteCycles(costs.monitor_call_cycles, CostTag::kMonitor);
+      for (std::size_t i = resume; i < cycles.size(); ++i) {
+        reference.mcu.ExecuteCycles(cycles[i], CostTag::kMonitor);
+      }
+    }
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      EXPECT_EQ(steps[i], 1) << "fail_at " << fail_at << " monitor " << i;
+    }
+    EXPECT_EQ(set.events_processed(), 1u);
+    ExpectSameDevice(fused, reference);
+  }
 }
 
 // ----------------------------------------------------------- peripherals --

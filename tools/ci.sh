@@ -25,8 +25,10 @@
 #      before any point runs.
 #   7. Fleet determinism smoke: `artemisc fleet` over a small device fleet
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
-#      exit 0 (the batch-VM differential fuzz runs in stage 1/2/9 via
-#      compiled_monitor_test; fleet_test covers shard/tile determinism);
+#      exit 0, in batch mode and in scalar mode under outage charges and
+#      mixed budgets (the in-loop monitors' power-failure path); the
+#      batch-VM differential fuzz runs in stage 1/2/9 via
+#      compiled_monitor_test and fleet_test covers shard/tile determinism;
 #      the same infeasible deployment must be refused with exit 2.
 #   8. SIMD parity gate: a second release build with -DARTEMIS_SIMD=ON
 #      (explicit SSE2/NEON batch kernels instead of the portable loops)
@@ -234,8 +236,10 @@ echo "== [7/10] Fleet determinism smoke =="
 # The sharded fleet engine's export must not depend on the shard count.
 fleet_s1="$(mktemp /tmp/artemis_fleet_s1.XXXXXX.json)"
 fleet_s4="$(mktemp /tmp/artemis_fleet_s4.XXXXXX.json)"
+outage_s1="$(mktemp /tmp/artemis_outage_s1.XXXXXX.json)"
+outage_s4="$(mktemp /tmp/artemis_outage_s4.XXXXXX.json)"
 trap 'rm -f "${trace_tmp}" "${flight_tmp}" "${sweep_j1}" "${sweep_j4}" \
-  "${fleet_s1}" "${fleet_s4}"' EXIT
+  "${fleet_s1}" "${fleet_s4}" "${outage_s1}" "${outage_s4}"' EXIT
 "${artemisc}" fleet --app health --devices 200 --iterations 1 \
   --charges continuous,6min --shards 1 --format json --out "${fleet_s1}"
 "${artemisc}" fleet --app health --devices 200 --iterations 1 \
@@ -246,6 +250,22 @@ if ! diff -q "${fleet_s1}" "${fleet_s4}" > /dev/null; then
   exit 1
 fi
 echo "ok: fleet JSON is byte-identical for --shards 1 and --shards 4"
+
+# Scalar mode under outages: every device reboots many times inside its
+# in-loop monitor and task charges; the export must still not depend on
+# the shard count.
+"${artemisc}" fleet --app health --monitor scalar --devices 48 --minutes 120 \
+  --charges 1min,6min --budgets 19500,12000,6000 --stats --shards 1 \
+  --format json --out "${outage_s1}"
+"${artemisc}" fleet --app health --monitor scalar --devices 48 --minutes 120 \
+  --charges 1min,6min --budgets 19500,12000,6000 --stats --shards 4 \
+  --format json --out "${outage_s4}"
+if ! diff -q "${outage_s1}" "${outage_s4}" > /dev/null; then
+  echo "CI FAIL: scalar outage fleet JSON differs between --shards 1 and --shards 4" >&2
+  diff "${outage_s1}" "${outage_s4}" >&2 || true
+  exit 1
+fi
+echo "ok: scalar outage fleet JSON is byte-identical for --shards 1 and --shards 4"
 
 # Fleet parity: the same infeasible deployment is refused up front.
 rc=0
@@ -270,7 +290,8 @@ ctest --test-dir "${simd_dir}" --output-on-failure
 fleet_simd="$(mktemp /tmp/artemis_fleet_simd.XXXXXX.json)"
 fleet_portable="$(mktemp /tmp/artemis_fleet_portable.XXXXXX.json)"
 trap 'rm -f "${trace_tmp}" "${flight_tmp}" "${sweep_j1}" "${sweep_j4}" \
-  "${fleet_s1}" "${fleet_s4}" "${fleet_simd}" "${fleet_portable}"' EXIT
+  "${fleet_s1}" "${fleet_s4}" "${outage_s1}" "${outage_s4}" "${fleet_simd}" \
+  "${fleet_portable}"' EXIT
 "${artemisc}" fleet --app health --devices 500 --iterations 1 \
   --charges continuous,6min --shards 2 --stats --format json --out "${fleet_portable}"
 "${simd_dir}/tools/artemisc" fleet --app health --devices 500 --iterations 1 \

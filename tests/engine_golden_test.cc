@@ -1,4 +1,5 @@
-// Byte goldens for the fleet and sweep engines' JSON exports.
+// Byte goldens for the fleet and sweep engines' exports (fleet JSON; sweep
+// JSON, CSV and console table).
 //
 // The engines' determinism tests compare runs of the *current* code with
 // each other (shards vs shards, jobs vs jobs). These goldens pin the bytes
@@ -62,6 +63,16 @@ std::string SweepJson(const sweep::SweepSpec& spec) {
   StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(spec, /*jobs=*/2);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   return outcome.ok() ? sweep::RenderJson(spec, outcome.value()) : "";
+}
+
+// Runs `spec` once and checks its JSON, CSV and table renderings against
+// tests/golden/sweep/<name>.{json,csv,txt}.
+void ExpectSweepGoldens(const std::string& name, const sweep::SweepSpec& spec) {
+  StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(spec, /*jobs=*/2);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ExpectGolden("sweep/" + name + ".json", sweep::RenderJson(spec, outcome.value()));
+  ExpectGolden("sweep/" + name + ".csv", sweep::RenderCsv(outcome.value()));
+  ExpectGolden("sweep/" + name + ".txt", sweep::RenderTable(outcome.value()));
 }
 
 fleet::FleetSpec ScalarFleet(const std::string& app) {
@@ -128,7 +139,7 @@ TEST(EngineGoldenTest, SweepHealthGrid) {
   spec.backends = {"builtin", "interpreted", "compiled"};
   spec.charges = {0, Schedule("1min"), Schedule("6min")};
   spec.timekeepers = {"default", "rtc:0.05"};
-  ExpectGolden("sweep/health_grid.json", SweepJson(spec));
+  ExpectSweepGoldens("health_grid", spec);
 }
 
 // The flight recorder and the stats bus attached: power failures inside
@@ -143,6 +154,23 @@ TEST(EngineGoldenTest, SweepHealthFlightStats) {
   spec.flight_bytes = 512;
   spec.collect_stats = true;
   ExpectGolden("sweep/health_flight_stats.json", SweepJson(spec));
+}
+
+// The hot-swap axis is the only producer of the per-row "metrics" object.
+// The first spec's label needs JSON escaping and CSV quoting; the second
+// spec does not parse, so its points are error rows with error text.
+TEST(EngineGoldenTest, SweepHealthHotSwap) {
+  StatusOr<std::string> health = sweep::DefaultSpecForApp("health");
+  ASSERT_TRUE(health.ok());
+  sweep::SweepSpec spec;
+  spec.app = "health";
+  spec.specs = {{"v1, \"quoted\"\tlabel", health.value()}, {"broken", "accel: {"}};
+  spec.backends = {"compiled"};
+  spec.charges = {0, Schedule("1min"), Schedule("6min")};
+  spec.budgets = {19'500.0, 8'000.0};
+  spec.spec2 = {"v2", health.value() + "\n// v2\n"};
+  spec.swap_at = 2 * kMinute;
+  ExpectSweepGoldens("health_hotswap", spec);
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -17,17 +15,17 @@ namespace artemis::fleet {
 namespace {
 
 std::string U64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  return buf;
+  std::string out;
+  AppendUint(out, v);
+  return out;
 }
 
 // Fixed-precision ratio of two integers: deterministic for any shard
 // count because both operands are shard-order-independent integers.
 std::string Ratio(std::uint64_t num, std::uint64_t den) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9f", den == 0 ? 0.0 : static_cast<double>(num) / den);
-  return buf;
+  std::string out;
+  AppendFixed(out, den == 0 ? 0.0 : static_cast<double>(num) / den, 9);
+  return out;
 }
 
 // One shard's batch-mode monitor engine: lanes over every compiled

@@ -4,29 +4,18 @@
 
 namespace artemis {
 
-std::uint64_t SpecTextHash(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
-
 StatusOr<SharedSpecArtifactPtr> CompiledSpecCache::Get(const std::string& key_scope,
                                                        const std::string& spec_text,
                                                        const AppGraph& graph,
                                                        SpecArtifactStage stage,
                                                        const LoweringOptions& lowering) {
-  // Full key: hash collisions cannot alias because the text itself is part
-  // of the comparison.
-  std::string key = key_scope;
+  std::string key;
+  key.reserve(key_scope.size() + spec_text.size() + 16);
+  key += key_scope;
   key += '\x1f';
   key += SpecArtifactStageName(stage);
   key += '\x1f';
   key += lowering.collect_reset_on_fail ? '1' : '0';
-  key += '\x1f';
-  key += std::to_string(SpecTextHash(spec_text));
   key += '\x1f';
   key += spec_text;
 

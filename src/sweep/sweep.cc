@@ -1,9 +1,11 @@
 #include "src/sweep/sweep.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
 #include <cstdlib>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "src/analysis/analyzer.h"
 #include "src/apps/ar_app.h"
@@ -130,11 +132,11 @@ StatusOr<std::unique_ptr<OutageTimekeeper>> MakeTimekeeper(const std::string& te
                          "' (default|ideal|rtc:<err>|remanence:<max>:<err>)");
 }
 
-std::string FormatFixed(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-  return buf;
-}
+// Reservation hints for the exports: a typical JSON row is ~400 bytes and
+// a CSV row ~150; longer rows (errors, metrics) just grow the buffer.
+constexpr std::size_t kJsonHeaderBytes = 256;
+constexpr std::size_t kJsonRowBytes = 448;
+constexpr std::size_t kCsvRowBytes = 192;
 
 std::string ChargeCell(SimDuration charge) {
   return charge == 0 ? "continuous" : FormatDuration(charge);
@@ -156,33 +158,44 @@ std::string OutcomeCell(const SweepRow& row) {
   return "DNF";
 }
 
-std::string CsvQuote(const std::string& text) {
-  if (text.find_first_of(",\"\n") == std::string::npos) {
-    return text;
-  }
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"') {
-      out += "\"\"";
-    } else {
-      out += c;
-    }
+// Appends `text` as one CSV field: quoted (with doubled quotes) only when
+// it holds a comma, quote or newline.
+void AppendCsvCell(std::string& out, std::string_view text) {
+  if (text.find_first_of(",\"\n") == std::string_view::npos) {
+    out += text;
+    return;
   }
   out += '"';
-  return out;
+  for (const char c : text) {
+    if (c == '"') {
+      out += '"';
+    }
+    out += c;
+  }
+  out += '"';
 }
 
-std::string MetricsCell(const SweepRow& row) {
-  std::string out;
-  for (const auto& [key, value] : row.metrics) {
-    if (!out.empty()) {
-      out += ';';
+// One console-table line, laid out as
+// printf("%5s  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8s %6s\n"): index
+// and the three numbers right-aligned, the rest left-aligned, none cut.
+void AppendTableLine(std::string& out, const std::array<std::string_view, 10>& cells) {
+  static constexpr std::array<std::size_t, 10> kWidths = {5, 8, 10, 12, 18, 11, 22, 12, 8, 6};
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::string_view text = cells[c];
+    const std::size_t pad = text.size() < kWidths[c] ? kWidths[c] - text.size() : 0;
+    const bool right = c == 0 || c >= 7;
+    if (c != 0) {
+      out += c == 1 ? "  " : " ";
     }
-    out += key;
-    out += '=';
-    out += FormatFixed(value, 6);
+    if (right) {
+      out.append(pad, ' ');
+    }
+    out += text;
+    if (!right) {
+      out.append(pad, ' ');
+    }
   }
-  return out;
+  out += '\n';
 }
 
 }  // namespace
@@ -350,10 +363,11 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   // an event log. Attaching costs zero simulated cycles, so neither ever
   // perturbs the simulated results.
   obs::EventBus bus;
-  ObsStatsAggregator aggregator;
+  std::shared_ptr<ObsStatsAggregator> aggregator;
   obs::CollectingSink events;
   if (spec.collect_stats) {
-    bus.AddSink(&aggregator);
+    aggregator = std::make_shared<ObsStatsAggregator>();
+    bus.AddSink(aggregator.get());
   }
   if (spec.post_run) {
     bus.AddSink(&events);
@@ -426,9 +440,7 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
       row.metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
       row.metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
     }
-    if (spec.collect_stats) {
-      row.stats = aggregator;
-    }
+    row.stats = aggregator;
     if (spec.post_run) {
       spec.post_run(point, artifacts, &row);
     }
@@ -450,9 +462,7 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
     row.result = runtime.value()->Run();
     artifacts.mayfly = runtime.value().get();
     row.ok = true;
-    if (spec.collect_stats) {
-      row.stats = aggregator;
-    }
+    row.stats = aggregator;
     if (spec.post_run) {
       spec.post_run(point, artifacts, &row);
     }
@@ -597,52 +607,88 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
 
 std::string RenderJson(const SweepSpec& spec, const SweepOutcome& outcome) {
   std::string out;
-  out += "{\n";
-  out += "  \"schema\": \"artemis-sweep/1\",\n";
-  out += "  \"app\": \"" + JsonEscape(spec.app) + "\",\n";
-  out += "  \"max_wall_us\": " + std::to_string(spec.max_wall) + ",\n";
-  out += "  \"points\": " + std::to_string(outcome.rows.size()) + ",\n";
-  out += "  \"cache\": {\"requests\": " + std::to_string(outcome.cache_requests) +
-         ", \"builds\": " + std::to_string(outcome.cache_builds) +
-         ", \"hits\": " + std::to_string(outcome.cache_requests - outcome.cache_builds) +
-         ", \"parses\": " + std::to_string(outcome.cache_parses) +
-         ", \"lowerings\": " + std::to_string(outcome.cache_lowerings) +
-         ", \"compilations\": " + std::to_string(outcome.cache_compilations) + "},\n";
-  out += "  \"rows\": [\n";
+  out.reserve(kJsonHeaderBytes + outcome.rows.size() * kJsonRowBytes);
+  out += "{\n  \"schema\": \"artemis-sweep/1\",\n  \"app\": ";
+  AppendJsonString(out, spec.app);
+  out += ",\n  \"max_wall_us\": ";
+  AppendUint(out, spec.max_wall);
+  out += ",\n  \"points\": ";
+  AppendUint(out, outcome.rows.size());
+  out += ",\n  \"cache\": {\"requests\": ";
+  AppendUint(out, outcome.cache_requests);
+  out += ", \"builds\": ";
+  AppendUint(out, outcome.cache_builds);
+  out += ", \"hits\": ";
+  AppendUint(out, outcome.cache_requests - outcome.cache_builds);
+  out += ", \"parses\": ";
+  AppendUint(out, outcome.cache_parses);
+  out += ", \"lowerings\": ";
+  AppendUint(out, outcome.cache_lowerings);
+  out += ", \"compilations\": ";
+  AppendUint(out, outcome.cache_compilations);
+  out += "},\n  \"rows\": [\n";
   for (std::size_t i = 0; i < outcome.rows.size(); ++i) {
     const SweepRow& row = outcome.rows[i];
-    out += "    {\"index\": " + std::to_string(row.index);
-    out += ", \"system\": \"" + JsonEscape(row.system) + "\"";
-    out += ", \"spec\": \"" + JsonEscape(row.spec_label) + "\"";
-    out += ", \"backend\": \"" + JsonEscape(row.backend) + "\"";
-    out += ", \"timekeeper\": \"" + JsonEscape(row.timekeeper) + "\"";
-    out += ", \"charge_us\": " + std::to_string(row.charge);
-    out += ", \"budget_uj\": " + FormatFixed(row.budget, 3);
-    out += ", \"seed\": " + std::to_string(row.seed);
-    out += ", \"status\": \"" + std::string(row.ok ? "ok" : "error") + "\"";
+    out += "    {\"index\": ";
+    AppendUint(out, row.index);
+    out += ", \"system\": ";
+    AppendJsonString(out, row.system);
+    out += ", \"spec\": ";
+    AppendJsonString(out, row.spec_label);
+    out += ", \"backend\": ";
+    AppendJsonString(out, row.backend);
+    out += ", \"timekeeper\": ";
+    AppendJsonString(out, row.timekeeper);
+    out += ", \"charge_us\": ";
+    AppendUint(out, row.charge);
+    out += ", \"budget_uj\": ";
+    AppendFixed(out, row.budget, 3);
+    out += ", \"seed\": ";
+    AppendUint(out, row.seed);
+    out += row.ok ? ", \"status\": \"ok\"" : ", \"status\": \"error\"";
     if (!row.ok) {
-      out += ", \"error\": \"" + JsonEscape(row.error) + "\"";
+      out += ", \"error\": ";
+      AppendJsonString(out, row.error);
     }
-    out += ", \"completed\": " + std::string(row.result.completed ? "true" : "false");
-    out += ", \"timed_out\": " + std::string(row.result.timed_out ? "true" : "false");
-    out += ", \"starved\": " + std::string(row.result.starved ? "true" : "false");
-    out += ", \"iterations\": " + std::to_string(row.result.iterations_completed);
-    out += ", \"finished_at_us\": " + std::to_string(row.result.finished_at);
-    out += ", \"energy_uj\": " + FormatFixed(row.result.stats.TotalEnergy(), 3);
-    out += ", \"reboots\": " + std::to_string(row.result.stats.reboots);
-    out += ", \"charging_us\": " + std::to_string(row.result.stats.charging_time);
-    out += ", \"monitor_events\": " + std::to_string(row.monitor_events);
-    out += ", \"violations\": " + std::to_string(row.violations);
-    if (row.stats.has_value()) {
-      out += ", \"obs\": {\"events\": " + std::to_string(row.stats->total_events()) +
-             ", \"completed_paths\": " + std::to_string(row.stats->completed_paths()) +
-             ", \"committed_bytes\": " + std::to_string(row.stats->committed_bytes()) + "}";
+    out += ", \"completed\": ";
+    out += row.result.completed ? "true" : "false";
+    out += ", \"timed_out\": ";
+    out += row.result.timed_out ? "true" : "false";
+    out += ", \"starved\": ";
+    out += row.result.starved ? "true" : "false";
+    out += ", \"iterations\": ";
+    AppendUint(out, row.result.iterations_completed);
+    out += ", \"finished_at_us\": ";
+    AppendUint(out, row.result.finished_at);
+    out += ", \"energy_uj\": ";
+    AppendFixed(out, row.result.stats.TotalEnergy(), 3);
+    out += ", \"reboots\": ";
+    AppendUint(out, row.result.stats.reboots);
+    out += ", \"charging_us\": ";
+    AppendUint(out, row.result.stats.charging_time);
+    out += ", \"monitor_events\": ";
+    AppendUint(out, row.monitor_events);
+    out += ", \"violations\": ";
+    AppendUint(out, row.violations);
+    if (row.stats != nullptr) {
+      out += ", \"obs\": {\"events\": ";
+      AppendUint(out, row.stats->total_events());
+      out += ", \"completed_paths\": ";
+      AppendUint(out, row.stats->completed_paths());
+      out += ", \"committed_bytes\": ";
+      AppendUint(out, row.stats->committed_bytes());
+      out += '}';
     }
     if (row.flight_enabled) {
-      out += ", \"flight\": {\"sealed\": " + std::to_string(row.flight_sealed) +
-             ", \"dropped\": " + std::to_string(row.flight_dropped) +
-             ", \"bytes\": " + std::to_string(row.flight_bytes) +
-             ", \"energy_share\": " + FormatFixed(row.flight_energy_share, 6) + "}";
+      out += ", \"flight\": {\"sealed\": ";
+      AppendUint(out, row.flight_sealed);
+      out += ", \"dropped\": ";
+      AppendUint(out, row.flight_dropped);
+      out += ", \"bytes\": ";
+      AppendUint(out, row.flight_bytes);
+      out += ", \"energy_share\": ";
+      AppendFixed(out, row.flight_energy_share, 6);
+      out += '}';
     }
     if (!row.metrics.empty()) {
       out += ", \"metrics\": {";
@@ -650,15 +696,15 @@ std::string RenderJson(const SweepSpec& spec, const SweepOutcome& outcome) {
         if (m != 0) {
           out += ", ";
         }
-        out += "\"" + JsonEscape(row.metrics[m].first) +
-               "\": " + FormatFixed(row.metrics[m].second, 6);
+        AppendJsonString(out, row.metrics[m].first);
+        out += ": ";
+        AppendFixed(out, row.metrics[m].second, 6);
       }
-      out += "}";
+      out += '}';
     }
     out += i + 1 < outcome.rows.size() ? "},\n" : "}\n";
   }
-  out += "  ]\n";
-  out += "}\n";
+  out += "  ]\n}\n";
   return out;
 }
 
@@ -669,7 +715,9 @@ std::string RenderCsv(const SweepOutcome& outcome) {
   for (const SweepRow& row : outcome.rows) {
     any_flight = any_flight || row.flight_enabled;
   }
-  std::string out =
+  std::string out;
+  out.reserve(kCsvRowBytes * (outcome.rows.size() + 1));
+  out +=
       "index,system,spec,backend,timekeeper,charge_us,budget_uj,seed,status,"
       "completed,timed_out,starved,iterations,finished_at_us,energy_uj,reboots,"
       "charging_us,monitor_events,violations,error,metrics";
@@ -677,33 +725,63 @@ std::string RenderCsv(const SweepOutcome& outcome) {
     out += ",flight_sealed,flight_dropped,flight_bytes,flight_energy_share";
   }
   out += '\n';
+  std::string metrics;
   for (const SweepRow& row : outcome.rows) {
-    out += std::to_string(row.index);
-    out += ',' + CsvQuote(row.system);
-    out += ',' + CsvQuote(row.spec_label);
-    out += ',' + CsvQuote(row.backend);
-    out += ',' + CsvQuote(row.timekeeper);
-    out += ',' + std::to_string(row.charge);
-    out += ',' + FormatFixed(row.budget, 3);
-    out += ',' + std::to_string(row.seed);
-    out += ',' + std::string(row.ok ? "ok" : "error");
-    out += ',' + std::string(row.result.completed ? "1" : "0");
-    out += ',' + std::string(row.result.timed_out ? "1" : "0");
-    out += ',' + std::string(row.result.starved ? "1" : "0");
-    out += ',' + std::to_string(row.result.iterations_completed);
-    out += ',' + std::to_string(row.result.finished_at);
-    out += ',' + FormatFixed(row.result.stats.TotalEnergy(), 3);
-    out += ',' + std::to_string(row.result.stats.reboots);
-    out += ',' + std::to_string(row.result.stats.charging_time);
-    out += ',' + std::to_string(row.monitor_events);
-    out += ',' + std::to_string(row.violations);
-    out += ',' + CsvQuote(row.error);
-    out += ',' + CsvQuote(MetricsCell(row));
+    AppendUint(out, row.index);
+    out += ',';
+    AppendCsvCell(out, row.system);
+    out += ',';
+    AppendCsvCell(out, row.spec_label);
+    out += ',';
+    AppendCsvCell(out, row.backend);
+    out += ',';
+    AppendCsvCell(out, row.timekeeper);
+    out += ',';
+    AppendUint(out, row.charge);
+    out += ',';
+    AppendFixed(out, row.budget, 3);
+    out += ',';
+    AppendUint(out, row.seed);
+    out += row.ok ? ",ok" : ",error";
+    out += row.result.completed ? ",1" : ",0";
+    out += row.result.timed_out ? ",1" : ",0";
+    out += row.result.starved ? ",1" : ",0";
+    out += ',';
+    AppendUint(out, row.result.iterations_completed);
+    out += ',';
+    AppendUint(out, row.result.finished_at);
+    out += ',';
+    AppendFixed(out, row.result.stats.TotalEnergy(), 3);
+    out += ',';
+    AppendUint(out, row.result.stats.reboots);
+    out += ',';
+    AppendUint(out, row.result.stats.charging_time);
+    out += ',';
+    AppendUint(out, row.monitor_events);
+    out += ',';
+    AppendUint(out, row.violations);
+    out += ',';
+    AppendCsvCell(out, row.error);
+    out += ',';
+    metrics.clear();
+    for (const auto& [key, value] : row.metrics) {
+      if (!metrics.empty()) {
+        metrics += ';';
+      }
+      metrics += key;
+      metrics += '=';
+      AppendFixed(metrics, value, 6);
+    }
+    AppendCsvCell(out, metrics);
     if (any_flight) {
-      out += ',' + std::to_string(row.flight_sealed);
-      out += ',' + std::to_string(row.flight_dropped);
-      out += ',' + std::to_string(row.flight_bytes);
-      out += ',' + FormatFixed(row.flight_energy_share, 6);
+      out += ',';
+      AppendUint(out, row.flight_sealed);
+      out += ',';
+      AppendUint(out, row.flight_dropped);
+      out += ',';
+      AppendUint(out, row.flight_bytes);
+      out += ',';
+      AppendFixed(out, row.flight_energy_share, 6);
     }
     out += '\n';
   }
@@ -712,30 +790,30 @@ std::string RenderCsv(const SweepOutcome& outcome) {
 
 std::string RenderTable(const SweepOutcome& outcome) {
   std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "%5s  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8s %6s\n",
-                "index", "system", "spec", "backend", "timekeeper", "charge", "outcome",
-                "energy_uj", "events", "viol");
-  out += line;
+  AppendTableLine(out, {"index", "system", "spec", "backend", "timekeeper", "charge",
+                        "outcome", "energy_uj", "events", "viol"});
+  std::string energy;
   for (const SweepRow& row : outcome.rows) {
-    std::snprintf(line, sizeof(line), "%5zu  %-8s %-10s %-12s %-18s %-11s %-22s %12s %8llu %6llu\n",
-                  row.index, row.system.c_str(), row.spec_label.c_str(), row.backend.c_str(),
-                  row.timekeeper.c_str(), ChargeCell(row.charge).c_str(),
-                  OutcomeCell(row).c_str(), FormatFixed(row.result.stats.TotalEnergy(), 1).c_str(),
-                  static_cast<unsigned long long>(row.monitor_events),
-                  static_cast<unsigned long long>(row.violations));
-    out += line;
+    energy.clear();
+    AppendFixed(energy, row.result.stats.TotalEnergy(), 1);
+    AppendTableLine(out, {std::to_string(row.index), row.system, row.spec_label, row.backend,
+                          row.timekeeper, ChargeCell(row.charge), OutcomeCell(row), energy,
+                          std::to_string(row.monitor_events), std::to_string(row.violations)});
     if (row.flight_enabled) {
-      std::snprintf(line, sizeof(line),
-                    "       flight: %llu sealed, %llu dropped, %llu B, %s%% energy\n",
-                    static_cast<unsigned long long>(row.flight_sealed),
-                    static_cast<unsigned long long>(row.flight_dropped),
-                    static_cast<unsigned long long>(row.flight_bytes),
-                    FormatFixed(row.flight_energy_share * 100.0, 2).c_str());
-      out += line;
+      out += "       flight: ";
+      AppendUint(out, row.flight_sealed);
+      out += " sealed, ";
+      AppendUint(out, row.flight_dropped);
+      out += " dropped, ";
+      AppendUint(out, row.flight_bytes);
+      out += " B, ";
+      AppendFixed(out, row.flight_energy_share * 100.0, 2);
+      out += "% energy\n";
     }
     if (!row.ok) {
-      out += "       error: " + row.error + "\n";
+      out += "       error: ";
+      out += row.error;
+      out += '\n';
     }
   }
   return out;

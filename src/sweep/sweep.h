@@ -24,7 +24,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,7 +143,9 @@ struct SweepRow {
   KernelRunResult result;
   std::uint64_t monitor_events = 0;
   std::uint64_t violations = 0;
-  std::optional<ObsStatsAggregator> stats;  // when SweepSpec::collect_stats
+  // The point's obs fold; null unless SweepSpec::collect_stats. Held by
+  // pointer so a row without it stays small.
+  std::shared_ptr<const ObsStatsAggregator> stats;
   // Flight-recorder footprint (populated when SweepSpec::flight != "off"):
   // records kept/dropped, sealed bytes, and the recorder's share of the
   // total simulated energy.

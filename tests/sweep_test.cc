@@ -2,6 +2,7 @@
 // expansion, byte-identical export across worker counts, per-point equality
 // with direct serial runs, the compiled-spec cache's build-once guarantee,
 // error-row reporting, and the grid JSON loader.
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -271,9 +272,9 @@ TEST(SweepEngineTest, CollectStatsDoesNotPerturbSimulation) {
             observed.value().rows[0].result.finished_at);
   EXPECT_DOUBLE_EQ(plain.value().rows[0].result.stats.TotalEnergy(),
                    observed.value().rows[0].result.stats.TotalEnergy());
-  ASSERT_TRUE(observed.value().rows[0].stats.has_value());
+  ASSERT_NE(observed.value().rows[0].stats, nullptr);
   EXPECT_GT(observed.value().rows[0].stats->total_events(), 0u);
-  EXPECT_FALSE(plain.value().rows[0].stats.has_value());
+  EXPECT_EQ(plain.value().rows[0].stats, nullptr);
 }
 
 TEST(SweepEngineTest, PostRunHookSeesThePointsEventsWithoutPerturbing) {
@@ -359,10 +360,35 @@ TEST(SweepGridJsonTest, RejectsUnknownKeysAndBadTypes) {
   EXPECT_EQ(loaded.value().specs[0].text, "accel: {}");
 }
 
-TEST(SpecTextHashTest, IsStableAndCollisionResistantEnough) {
-  EXPECT_EQ(SpecTextHash("abc"), SpecTextHash("abc"));
-  EXPECT_NE(SpecTextHash("abc"), SpecTextHash("abd"));
-  EXPECT_NE(SpecTextHash(""), SpecTextHash(" "));
+// Regression: the table used to be printed into a fixed 256-byte line, so
+// a long spec label cut the row and lost its newline.
+TEST(SweepRenderTest, TableKeepsLongRowsWhole) {
+  StatusOr<std::string> health = sweep::DefaultSpecForApp("health");
+  ASSERT_TRUE(health.ok());
+  const std::string label(300, 'L');
+  sweep::SweepSpec grid;
+  grid.specs = {{label, health.value()}, {"broken", "accel: {"}};
+  grid.max_wall = 2 * kHour;
+  StatusOr<sweep::SweepOutcome> outcome = sweep::RunSweep(grid, 1);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  const std::string table = sweep::RenderTable(outcome.value());
+  ASSERT_FALSE(table.empty());
+  EXPECT_EQ(table.back(), '\n');
+  std::size_t label_rows = 0;
+  std::size_t begin = 0;
+  while (begin < table.size()) {
+    const std::size_t end = table.find('\n', begin);
+    ASSERT_NE(end, std::string::npos) << "unterminated row: " << table.substr(begin);
+    const std::string line = table.substr(begin, end - begin);
+    if (line.find(label) != std::string::npos) {
+      ++label_rows;
+      EXPECT_NE(line.find(" builtin "), std::string::npos) << line;
+    }
+    begin = end + 1;
+  }
+  EXPECT_EQ(label_rows, 1u);
+  // The header, the two point rows and the error row's detail line.
+  EXPECT_EQ(std::count(table.begin(), table.end(), '\n'), 4);
 }
 
 }  // namespace

@@ -20,7 +20,8 @@
 #   5. Docs link check: every relative .md link in README.md, DESIGN.md,
 #      EXPERIMENTS.md, and docs/ must resolve to an existing file.
 #   6. Sweep determinism smoke: `artemisc sweep` over a small grid must
-#      produce byte-identical JSON for --jobs 1 and --jobs 4, with exit 0;
+#      produce byte-identical JSON, CSV and table output for --jobs 1 and
+#      --jobs 4, with exit 0;
 #      a statically infeasible deployment must be refused with exit 2
 #      before any point runs.
 #   7. Fleet determinism smoke: `artemisc fleet` over a small device fleet
@@ -205,20 +206,22 @@ fi
 echo "ok: all relative .md links resolve"
 
 echo "== [6/10] Sweep determinism smoke =="
-# The parallel sweep engine's export must not depend on the worker count.
-sweep_j1="$(mktemp /tmp/artemis_sweep_j1.XXXXXX.json)"
-sweep_j4="$(mktemp /tmp/artemis_sweep_j4.XXXXXX.json)"
+# The parallel sweep engine's exports must not depend on the worker count.
+sweep_j1="$(mktemp /tmp/artemis_sweep_j1.XXXXXX)"
+sweep_j4="$(mktemp /tmp/artemis_sweep_j4.XXXXXX)"
 trap 'rm -f "${trace_tmp}" "${flight_tmp}" "${sweep_j1}" "${sweep_j4}"' EXIT
-"${artemisc}" sweep "${repo_root}/examples/sweeps/smoke.json" \
-  --jobs 1 --format json --out "${sweep_j1}"
-"${artemisc}" sweep "${repo_root}/examples/sweeps/smoke.json" \
-  --jobs 4 --format json --out "${sweep_j4}"
-if ! diff -q "${sweep_j1}" "${sweep_j4}" > /dev/null; then
-  echo "CI FAIL: sweep JSON differs between --jobs 1 and --jobs 4" >&2
-  diff "${sweep_j1}" "${sweep_j4}" >&2 || true
-  exit 1
-fi
-echo "ok: sweep JSON is byte-identical for --jobs 1 and --jobs 4"
+for format in json csv table; do
+  "${artemisc}" sweep "${repo_root}/examples/sweeps/smoke.json" \
+    --jobs 1 --format "${format}" --out "${sweep_j1}"
+  "${artemisc}" sweep "${repo_root}/examples/sweeps/smoke.json" \
+    --jobs 4 --format "${format}" --out "${sweep_j4}"
+  if ! diff -q "${sweep_j1}" "${sweep_j4}" > /dev/null; then
+    echo "CI FAIL: sweep ${format} differs between --jobs 1 and --jobs 4" >&2
+    diff "${sweep_j1}" "${sweep_j4}" >&2 || true
+    exit 1
+  fi
+  echo "ok: sweep ${format} is byte-identical for --jobs 1 and --jobs 4"
+done
 
 # A statically infeasible deployment must be refused before any point runs,
 # identically for any job count: exit 2 (usage-level refusal), not a grid

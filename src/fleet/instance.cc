@@ -11,27 +11,6 @@
 namespace artemis::fleet {
 namespace {
 
-// MonitorSet's per-event charging for the separate-component placement is
-// monitor_call_cycles (the interface crossing) followed by one
-// StepCycles charge per monitor; the compiled backend's StepCycles is
-// flat. Capture mode mirrors that exactly.
-std::vector<double> CompiledStepCycles(const SharedSpecArtifact& artifact,
-                                       const CostModel& costs) {
-  return std::vector<double>(artifact.compiled.size(),
-                             static_cast<double>(costs.compiled_step_cycles));
-}
-
-// Mirror of MonitorSet::FramBytes over compiled machines: set bookkeeping
-// plus, per monitor, the state word + variable slots + property_t slot.
-std::size_t MirroredFramBytes(const SharedSpecArtifact& artifact) {
-  std::size_t bytes = sizeof(std::uint64_t) + sizeof(MonitorVerdict) + 16;
-  for (const CompiledMachine& machine : artifact.compiled) {
-    bytes += sizeof(std::uint16_t) + machine.initial_slots.size() * sizeof(double);
-    bytes += 24;
-  }
-  return bytes;
-}
-
 std::uint64_t EnergyNj(EnergyUj uj) {
   return uj <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(uj * 1000.0));
 }
@@ -220,8 +199,10 @@ DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
   }
 
   records->clear();
-  CaptureChecker checker(CompiledStepCycles(*ctx_.artifact, mcu->costs()),
-                         MirroredFramBytes(*ctx_.artifact), records);
+  // The separate-component placement's charges, priced by MonitorSet
+  // itself: monitor_call_cycles, then each monitor's step cycles.
+  MonitorCharges charges = MonitorSet::CompiledCharges(ctx_.artifact->compiled, mcu->costs());
+  CaptureChecker checker(std::move(charges.step_cycles), charges.fram_bytes, records);
   KernelOptions options;
   options.seed = config_.seed;
   options.max_wall_time = config_.horizon;

@@ -541,6 +541,29 @@ class Compiler {
         m_.dispatch[(s * 2u + kind) * tasks + b.task] = b.handler_pc;
       }
     }
+    BuildDeadColumns();
+  }
+
+  // A column stays dead only while every state's handler for it is a bare
+  // kNoMatch; the trailing column tracks the any-task handlers.
+  void BuildDeadColumns() {
+    const std::uint32_t tasks = m_.max_task + 1;
+    const std::uint32_t cols = tasks + 1;
+    m_.dead_columns.assign(2u * cols, 1u);
+    const auto reacts = [this](std::uint32_t pc) { return m_.code[pc].op != OpCode::kNoMatch; };
+    for (std::uint32_t s = 0; s < m_.state_names.size(); ++s) {
+      for (std::uint32_t kind = 0; kind < 2; ++kind) {
+        for (std::uint32_t task = 0; task < tasks; ++task) {
+          if (reacts(m_.dispatch[(s * 2u + kind) * tasks + task])) {
+            m_.dead_columns[kind * cols + task] = 0u;
+          }
+        }
+      }
+      if (reacts(m_.any_handler[s])) {
+        m_.dead_columns[cols - 1u] = 0u;
+        m_.dead_columns[2u * cols - 1u] = 0u;
+      }
+    }
   }
 
   const StateMachine& src_;

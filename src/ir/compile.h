@@ -19,6 +19,7 @@
 #ifndef SRC_IR_COMPILE_H_
 #define SRC_IR_COMPILE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -182,6 +183,15 @@ struct CompiledMachine {
   std::uint32_t max_task = 0;
   std::vector<std::uint32_t> dispatch;
 
+  // Dead-column table: a (kind, task) column is dead when its handler
+  // starts with kNoMatch in every state, so an event on it provably leaves
+  // state, slots and verdict untouched. Laid out [kind][task] over task ids
+  // 0..max_task plus one trailing any-task column that reflects every
+  // state's any_handler (kind-independent, mirrored into both kind rows).
+  // Computed once by CompileStateMachine; both VMs read it — the batch VM
+  // to elide lanes, MonitorSet to skip a scalar Step.
+  std::vector<std::uint8_t> dead_columns;
+
   // Runtime policy knobs carried over from the StateMachine.
   TaskId anchor_task = kInvalidTask;
   PathId path_scope = kNoPath;
@@ -196,6 +206,14 @@ struct CompiledMachine {
     const std::uint32_t row =
         (static_cast<std::uint32_t>(state) * 2u + static_cast<std::uint32_t>(kind));
     return dispatch[row * (max_task + 1u) + t];
+  }
+
+  // True when no state reacts to (kind, task). Task ids above max_task
+  // resolve to the any-task column, exactly as HandlerFor resolves them.
+  inline bool ColumnDead(EventKind kind, TaskId task) const {
+    const std::uint32_t cols = max_task + 2u;
+    const std::uint32_t t = std::min(static_cast<std::uint32_t>(task), cols - 1u);
+    return dead_columns[static_cast<std::uint32_t>(kind) * cols + t] != 0;
   }
 };
 

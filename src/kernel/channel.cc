@@ -31,8 +31,8 @@ void ChannelStore::Reset() {
 }
 
 TaskContext::TaskContext(const AppGraph* graph, const ChannelStore* store, TaskId self,
-                         SimTime now, Rng* rng)
-    : graph_(graph), store_(store), self_(self), now_(now), rng_(rng) {}
+                         SimTime now, Rng* rng, TaskStaging* staging)
+    : graph_(graph), store_(store), self_(self), now_(now), rng_(rng), staging_(staging) {}
 
 const std::vector<double>& TaskContext::SamplesOf(const std::string& task_name) const {
   const std::optional<TaskId> id = graph_->FindTask(task_name);
@@ -50,7 +50,7 @@ std::uint64_t TaskContext::CompletionsOf(const std::string& task_name) const {
 void TaskContext::ConsumeAll(const std::string& task_name) {
   const std::optional<TaskId> id = graph_->FindTask(task_name);
   if (id.has_value()) {
-    consumes_.push_back(*id);
+    staging_->consumes.push_back(*id);
   }
 }
 

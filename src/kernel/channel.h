@@ -56,11 +56,25 @@ class ChannelStore {
   std::vector<Slot> slots_;
 };
 
-// The view a task body gets while executing: committed reads, staged writes.
+// The buffers a task body stages its writes into. The kernel owns one and
+// lends it to every task body; clear() keeps the capacity, so a body that
+// pushes as much as an earlier one allocates nothing.
+struct TaskStaging {
+  std::vector<double> pushed;
+  std::vector<TaskId> consumes;
+
+  void clear() {
+    pushed.clear();
+    consumes.clear();
+  }
+};
+
+// The view a task body gets while executing: committed reads, staged writes
+// into a borrowed, empty `staging`.
 class TaskContext {
  public:
   TaskContext(const AppGraph* graph, const ChannelStore* store, TaskId self, SimTime now,
-              Rng* rng);
+              Rng* rng, TaskStaging* staging);
 
   TaskId self() const { return self_; }
   SimTime now() const { return now_; }
@@ -73,15 +87,15 @@ class TaskContext {
 
   // --- staged writes (applied atomically at commit) ----------------------
   // Appends one output sample of this task.
-  void Push(double value) { pushed_.push_back(value); }
+  void Push(double value) { staging_->pushed.push_back(value); }
   // Consumes (clears) all committed samples of the named task at commit.
   void ConsumeAll(const std::string& task_name);
   // Sets this task's monitored dependent variable (dpData source).
   void SetMonitored(double value) { monitored_ = value; }
 
   // Kernel access to the staging area.
-  const std::vector<double>& staged_samples() const { return pushed_; }
-  const std::vector<TaskId>& staged_consumes() const { return consumes_; }
+  const std::vector<double>& staged_samples() const { return staging_->pushed; }
+  const std::vector<TaskId>& staged_consumes() const { return staging_->consumes; }
   std::optional<double> staged_monitored() const { return monitored_; }
 
  private:
@@ -90,9 +104,7 @@ class TaskContext {
   TaskId self_;
   SimTime now_;
   Rng* rng_;
-
-  std::vector<double> pushed_;
-  std::vector<TaskId> consumes_;
+  TaskStaging* staging_;
   std::optional<double> monitored_;
 
   static const std::vector<double> kEmpty;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/base/time.h"
 #include "src/kernel/task.h"
@@ -59,13 +60,21 @@ const char* ActionTypeName(ActionType action);
 // Severity used by the default arbitration policy: larger wins.
 int ActionSeverity(ActionType action);
 
+// Lifetime contract of `property`: the label is borrowed, never copied. It
+// views storage owned by whatever produced the verdict and that outlives
+// every copy of it — a compiled machine's fail_pool, an interpreted
+// machine's kFail Stmt, a builtin monitor's label members, a Mayfly rule —
+// all immutable while the monitor or checker lives. Whoever keeps a
+// verdict past the life of its producer must copy the label first
+// (MonitorSet::ReplaceMonitors does so for its verdict cache). A verdict
+// therefore costs no allocation however often it is copied.
 struct MonitorVerdict {
   ActionType action = ActionType::kNone;
   // Explicit target for path actions ("Path: 2" in Figure 5); kNoPath means
   // the current path.
   PathId target_path = kNoPath;
   // Diagnostics for traces: which property on which task fired.
-  std::string property;
+  std::string_view property;
 
   bool violated() const { return action != ActionType::kNone; }
 };

@@ -24,13 +24,24 @@ class ImmortalContext {
 
   // Starts (or resumes) processing of work item `id`. Returns the index of
   // the first step that still needs to run (0 for a fresh item).
-  std::uint32_t Begin(std::uint64_t id);
+  std::uint32_t Begin(std::uint64_t id) {
+    if (in_progress_ && item_ == id) {
+      return cursor_;  // Resume the interrupted item.
+    }
+    item_ = id;
+    cursor_ = 0;
+    in_progress_ = true;
+    return 0;
+  }
 
   // Marks one more step of the current item durably complete.
-  void CompleteStep();
+  void CompleteStep() { ++cursor_; }
 
   // Marks the current item fully processed.
-  void Finish();
+  void Finish() {
+    in_progress_ = false;
+    cursor_ = 0;
+  }
 
   bool InProgress() const { return in_progress_; }
   std::uint64_t CurrentItem() const { return item_; }

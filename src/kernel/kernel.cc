@@ -47,11 +47,8 @@ TaskId IntermittentKernel::current_task() const {
   return task_idx_ < path.size() ? path[task_idx_] : kInvalidTask;
 }
 
-void IntermittentKernel::Trace(obs::Kind kind, TaskId task, ActionType action,
-                               std::string_view detail, double value) {
-  if (options_.observer == nullptr) {
-    return;
-  }
+void IntermittentKernel::PublishTrace(obs::Kind kind, TaskId task, ActionType action,
+                                      std::string_view detail, double value) {
   obs::Event event{.kind = kind,
                    .time = mcu_->Now(),
                    .true_time = mcu_->TrueNow(),
@@ -257,7 +254,8 @@ ExecStatus IntermittentKernel::RunTaskBody(TaskId task) {
     Trace(obs::Kind::kTaskAborted, task);
     return status;
   }
-  TaskContext ctx(graph_, &channels_, task, mcu_->Now(), &rng_);
+  staging_.clear();
+  TaskContext ctx(graph_, &channels_, task, mcu_->Now(), &rng_, &staging_);
   if (def.effect) {
     def.effect(ctx);
   }

@@ -150,9 +150,16 @@ class IntermittentKernel {
 
   // Publishes one event to the observer, if any. `value` is the kind's
   // scalar (kCommit: committed bytes); task end/abort events carry the
-  // task's cumulative profile instead.
+  // task's cumulative profile instead. Only the observer check is inline:
+  // a run without an observer pays one branch per site.
   void Trace(obs::Kind kind, TaskId task, ActionType action = ActionType::kNone,
-             std::string_view detail = {}, double value = 0.0);
+             std::string_view detail = {}, double value = 0.0) {
+    if (options_.observer != nullptr) {
+      PublishTrace(kind, task, action, detail, value);
+    }
+  }
+  void PublishTrace(obs::Kind kind, TaskId task, ActionType action, std::string_view detail,
+                    double value);
 
   const AppGraph* graph_;
   PropertyChecker* checker_;
@@ -175,6 +182,9 @@ class IntermittentKernel {
 
   ChannelStore channels_;
   std::vector<TaskProfile> profiles_;
+  // Volatile staging lent to every task body; only its capacity outlives
+  // one body (a power failure before commit discards the contents anyway).
+  TaskStaging staging_;
 };
 
 }  // namespace artemis

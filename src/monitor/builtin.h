@@ -41,11 +41,16 @@ class BuiltinMonitor : public Monitor {
   bool InScope(const MonitorEvent& event) const {
     return scope_path_ == kNoPath || event.path == scope_path_;
   }
+  // `property` must be one of this monitor's label members, so the
+  // borrowed view lives as long as the monitor (src/kernel/checker.h).
   void FillVerdict(MonitorVerdict* verdict, ActionType action,
-                   const std::string& suffix = "") const {
+                   const std::string& property) const {
     verdict->action = action;
     verdict->target_path = target_path_;
-    verdict->property = label_ + suffix;
+    verdict->property = property;
+  }
+  void FillVerdict(MonitorVerdict* verdict, ActionType action) const {
+    FillVerdict(verdict, action, label_);
   }
 
   std::string label_;
@@ -128,6 +133,7 @@ class MitdMonitor final : public BuiltinMonitor {
               std::uint32_t max_attempt, ActionType max_action, PathId target_path,
               PathId scope_path = kNoPath)
       : BuiltinMonitor(std::move(label), task, action, target_path, scope_path),
+        max_attempt_label_(label_ + "/maxAttempt"),
         dep_(dep),
         limit_(limit),
         max_attempt_(max_attempt),
@@ -146,6 +152,8 @@ class MitdMonitor final : public BuiltinMonitor {
   std::uint32_t attempts() const { return attempts_; }
 
  private:
+  // The escalated verdict's label, built once so a verdict only borrows it.
+  std::string max_attempt_label_;
   TaskId dep_;
   SimDuration limit_;
   std::uint32_t max_attempt_;

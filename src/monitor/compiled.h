@@ -40,8 +40,16 @@ class CompiledMonitor final : public Monitor {
   void HardReset() override;
   void OnPathRestart(PathId path) override;
   const std::string& label() const override { return machine_->property_label; }
-  double StepCycles(const CostModel& costs) const override;
-  std::size_t FramBytes() const override;
+  double StepCycles(const CostModel& costs) const override { return StepCyclesFor(costs); }
+  std::size_t FramBytes() const override { return FramBytesFor(*machine_); }
+  // The same charges for any monitor over `machine`, without one:
+  // MonitorSet::CompiledCharges prices capture twins with these.
+  static double StepCyclesFor(const CostModel& costs) { return costs.compiled_step_cycles; }
+  // Same persistent state as the interpreter: current-state word plus one
+  // double per machine variable (the bytecode itself is .text, not FRAM).
+  static std::size_t FramBytesFor(const CompiledMachine& machine) {
+    return sizeof(std::uint16_t) + machine.initial_slots.size() * sizeof(double);
+  }
 
   // Test hooks, mirroring InterpretedMonitor's.
   const std::string& current_state() const { return machine_->state_names[current_]; }

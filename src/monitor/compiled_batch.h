@@ -166,16 +166,17 @@ class BatchCompiledMonitor {
   // ---- dead-column elision ---------------------------------------------
   // A (kind, task) column is dead when EVERY state's handler for it is
   // kSelfLoop: an event on that column provably cannot change any lane's
-  // state, slots, or verdicts. Task ids above the machine's dispatch range
-  // resolve to the shared any-task row, exactly like dispatch does.
-  bool ColumnDead(EventKind kind, TaskId task) const {
-    const std::uint32_t cols = machine_->max_task + 2u;
-    const auto t = std::min(static_cast<std::uint32_t>(task), cols - 1u);
-    return dead_cols_[static_cast<std::uint32_t>(kind) * cols + t] != 0;
-  }
+  // state, slots, or verdicts. The table is the compiled machine's own
+  // (CompiledMachine::ColumnDead), the one MonitorSet's scalar skip reads.
+  bool ColumnDead(EventKind kind, TaskId task) const { return machine_->ColumnDead(kind, task); }
   // Dead / total (kind, task) columns, for static elision-rate reporting.
-  std::uint32_t dead_column_count() const { return dead_column_count_; }
-  std::uint32_t column_count() const { return static_cast<std::uint32_t>(dead_cols_.size()); }
+  std::uint32_t dead_column_count() const {
+    return static_cast<std::uint32_t>(
+        std::count(machine_->dead_columns.begin(), machine_->dead_columns.end(), 1u));
+  }
+  std::uint32_t column_count() const {
+    return static_cast<std::uint32_t>(machine_->dead_columns.size());
+  }
 
   // ---- runtime traffic profiling ---------------------------------------
   // Off by default (the partition pass pays one predictable branch when
@@ -289,10 +290,6 @@ class BatchCompiledMonitor {
   // hot 4-byte table instead of pulling the entry's whole Summary into the
   // partition pass.
   std::vector<std::uint32_t> pc_of_;
-  // Per (kind, task) column: 1 when every state self-loops. Laid out
-  // [kind][task] with one extra task slot for the any-task row.
-  std::vector<std::uint8_t> dead_cols_;
-  std::uint32_t dead_column_count_ = 0;
   std::vector<std::uint16_t> current_;  // [lane]
   std::vector<double> slots_;           // [lane * stride_ + slot]
   std::vector<double> stack_;           // scratch for the kGeneral fallback

@@ -40,7 +40,17 @@ std::size_t MonitorSet::InlinedTextBytes(std::size_t separate_text_bytes,
   return shared + (separate_text_bytes - shared) * (call_sites == 0 ? 1 : call_sites);
 }
 
+namespace {
+
+const CompiledMachine* CompiledProgramOf(const Monitor& monitor) {
+  const auto* compiled = dynamic_cast<const CompiledMonitor*>(&monitor);
+  return compiled != nullptr ? &compiled->machine() : nullptr;
+}
+
+}  // namespace
+
 void MonitorSet::Add(std::unique_ptr<Monitor> monitor) {
+  compiled_.push_back(CompiledProgramOf(*monitor));
   monitors_.push_back(std::move(monitor));
   step_cycles_valid_ = false;
 }
@@ -51,38 +61,61 @@ void MonitorSet::ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors)
   // survive so pre-swap events replay idempotently. The NVM arena keeps the
   // original registration: the swap stages the new image into the same
   // monitor region (docs/hotswap.md sizes it as max(old, new)).
+  // The cached verdict borrows its label from a retiring monitor: move the
+  // label into set-owned storage before that monitor goes.
+  if (has_cached_verdict_) {
+    cached_label_.assign(cached_verdict_.property);
+    cached_verdict_.property = cached_label_;
+  }
   monitors_ = std::move(monitors);
   step_cycles_valid_ = false;
+  compiled_.clear();
+  for (const auto& monitor : monitors_) {
+    compiled_.push_back(CompiledProgramOf(*monitor));
+  }
   pending_.clear();
 }
 
-const std::vector<double>& MonitorSet::StepCycles(const CostModel& costs) {
-  if (!step_cycles_valid_) {
-    step_cycles_.clear();
-    for (const auto& monitor : monitors_) {
-      step_cycles_.push_back(monitor->StepCycles(costs));
-    }
-    step_cycles_valid_ = true;
+void MonitorSet::CacheStepCycles(const CostModel& costs) {
+  step_cycles_.clear();
+  for (const auto& monitor : monitors_) {
+    step_cycles_.push_back(monitor->StepCycles(costs));
   }
-  return step_cycles_;
+  step_cycles_valid_ = true;
 }
 
-void MonitorSet::StepMonitor(std::size_t i, const MonitorEvent& event) {
+void MonitorSet::StepLive(std::size_t i, const MonitorEvent& event) {
   MonitorVerdict verdict;
   if (monitors_[i]->Step(event, &verdict)) {
     pending_.push_back(verdict);
   }
-  continuation_.CompleteStep();
+}
+
+std::size_t MonitorSet::FramBytesFor(std::size_t monitors, std::size_t state_bytes) {
+  constexpr std::size_t kContinuationBytes = 16;
+  constexpr std::size_t kPropertySlotBytes = 24;  // action/path/task plumbing (Figure 10)
+  return sizeof(std::uint64_t) /* done_seq_ */ + kVerdictCacheFramBytes + kContinuationBytes +
+         monitors * kPropertySlotBytes + state_bytes;
 }
 
 std::size_t MonitorSet::FramBytes() const {
-  // Per-monitor state plus the set's own continuation + verdict cache.
-  std::size_t bytes = sizeof(done_seq_) + sizeof(MonitorVerdict) + 16 /* continuation */;
+  std::size_t state_bytes = 0;
   for (const auto& monitor : monitors_) {
-    bytes += monitor->FramBytes();
-    bytes += 24;  // property_t slot: action/path/task plumbing (Figure 10).
+    state_bytes += monitor->FramBytes();
   }
-  return bytes;
+  return FramBytesFor(monitors_.size(), state_bytes);
+}
+
+MonitorCharges MonitorSet::CompiledCharges(const std::vector<CompiledMachine>& machines,
+                                           const CostModel& costs) {
+  MonitorCharges charges;
+  std::size_t state_bytes = 0;
+  for (const CompiledMachine& machine : machines) {
+    charges.step_cycles.push_back(CompiledMonitor::StepCyclesFor(costs));
+    state_bytes += CompiledMonitor::FramBytesFor(machine);
+  }
+  charges.fram_bytes = FramBytesFor(machines.size(), state_bytes);
+  return charges;
 }
 
 void MonitorSet::HardReset(Mcu& mcu) {
@@ -204,7 +237,7 @@ CheckOutcome MonitorSet::OnEvent(const MonitorEvent& event, Mcu& mcu) {
                    .duration = busy_now() - busy_before,
                    .value = static_cast<double>(pending_.size()),
                    .energy_fraction = event.energy_fraction,
-                   .detail = verdict.property};
+                   .detail = std::string(verdict.property)};
     if (verdict.violated()) {
       out.action = ActionTypeName(verdict.action);
     }

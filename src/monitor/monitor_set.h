@@ -22,6 +22,7 @@
 
 #include "src/base/status.h"
 #include "src/flight/recorder.h"
+#include "src/ir/compile.h"
 #include "src/ir/lowering.h"
 #include "src/kernel/app_graph.h"
 #include "src/kernel/checker.h"
@@ -94,8 +95,20 @@ ExecStatus ChargeMonitorSteps(Mcu& mcu, const std::vector<double>& step_cycles,
   return ExecStatus::kOk;
 }
 
+// What a monitor collection charges the device: each monitor's per-event
+// step cycles, in registration order, and the Table 2 monitor FRAM.
+struct MonitorCharges {
+  std::vector<double> step_cycles;
+  std::size_t fram_bytes = 0;
+};
+
 class MonitorSet : public PropertyChecker {
  public:
+  // Modelled FRAM image of the verdict cache: action, target path, a
+  // property-label reference and padding. A model constant, independent of
+  // the host's MonitorVerdict layout.
+  static constexpr std::size_t kVerdictCacheFramBytes = 40;
+
   explicit MonitorSet(ArbitrationPolicy policy = ArbitrationPolicy::kSeverity)
       : MonitorSet(MonitorSetOptions{.policy = policy}) {}
   explicit MonitorSet(const MonitorSetOptions& options)
@@ -115,6 +128,15 @@ class MonitorSet : public PropertyChecker {
 
   // Persistent monitor footprint in bytes (Table 2, monitor FRAM column).
   std::size_t FramBytes() const;
+  // The footprint of `monitors` monitors holding `state_bytes` of state in
+  // total: the set's done-seq word, verdict cache and continuation, plus
+  // one property_t slot per monitor. FramBytes() is this over the set.
+  static std::size_t FramBytesFor(std::size_t monitors, std::size_t state_bytes);
+  // The charges a set of compiled monitors over `machines` makes under
+  // `costs`, without building one: a twin that charges monitors but never
+  // steps them (fleet's capture mode) charges exactly these.
+  static MonitorCharges CompiledCharges(const std::vector<CompiledMachine>& machines,
+                                        const CostModel& costs);
 
   // Number of processed events / reported violations, for benches.
   std::uint64_t events_processed() const { return events_processed_; }
@@ -148,19 +170,40 @@ class MonitorSet : public PropertyChecker {
   // monitors. The seq-keyed verdict cache and event/violation counters are
   // kept: the event stream continues across the swap, so a re-delivered
   // pre-swap event must still replay its cached verdict instead of
-  // double-stepping the new machines.
+  // double-stepping the new machines. The cached verdict's label is copied
+  // into the set first, since the monitor it borrows from is retired.
   void ReplaceMonitors(std::vector<std::unique_ptr<Monitor>> monitors);
 
  private:
   // Per-monitor StepCycles, computed once per monitor collection and boot
   // (HardReset) instead of once per monitor per event.
-  const std::vector<double>& StepCycles(const CostModel& costs);
-  void StepMonitor(std::size_t i, const MonitorEvent& event);
+  const std::vector<double>& StepCycles(const CostModel& costs) {
+    if (!step_cycles_valid_) {
+      CacheStepCycles(costs);
+    }
+    return step_cycles_;
+  }
+  void CacheStepCycles(const CostModel& costs);
+  // Monitor i consumes the event: a compiled monitor whose column is dead
+  // is a self-loop in every state, so Step would change nothing and is
+  // skipped; the charge is already paid and the cursor still advances.
+  void StepMonitor(std::size_t i, const MonitorEvent& event) {
+    const CompiledMachine* const machine = compiled_[i];
+    if (machine == nullptr || !machine->ColumnDead(event.kind, event.task)) {
+      StepLive(i, event);
+    }
+    continuation_.CompleteStep();
+  }
+  void StepLive(std::size_t i, const MonitorEvent& event);
 
   ArbitrationPolicy policy_;
   MonitorPlacement placement_ = MonitorPlacement::kSeparate;
   RadioProfile radio_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
+  // Parallel to monitors_: the program of a compiled monitor, nullptr for
+  // any other backend. A compiled monitor whose column is dead for the
+  // event (CompiledMachine::ColumnDead) is charged but not stepped.
+  std::vector<const CompiledMachine*> compiled_;
   std::vector<double> step_cycles_;
   bool step_cycles_valid_ = false;
   obs::EventBus* obs_ = nullptr;
@@ -174,6 +217,9 @@ class MonitorSet : public PropertyChecker {
   // event processed yet" from a processed event with seq == 0.
   bool has_cached_verdict_ = false;
   MonitorVerdict cached_verdict_;        // its arbitrated verdict
+  // Owns the cached verdict's label once ReplaceMonitors retired the
+  // monitor it was borrowed from.
+  std::string cached_label_;
   bool arena_registered_ = false;
 
   std::uint64_t events_processed_ = 0;

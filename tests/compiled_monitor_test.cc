@@ -22,6 +22,7 @@
 #include "src/monitor/compiled_batch.h"
 #include "src/monitor/interp.h"
 #include "src/monitor/monitor_set.h"
+#include "src/sim/cost_model.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
 
@@ -795,6 +796,32 @@ TEST(CompiledBackendTest, BuildMonitorSetParity) {
     ASSERT_TRUE(compiled_set.ok()) << app.name;
     EXPECT_EQ(interp_set.value()->size(), compiled_set.value()->size()) << app.name;
     EXPECT_EQ(interp_set.value()->FramBytes(), compiled_set.value()->FramBytes()) << app.name;
+  }
+}
+
+// Fleet's capture twins charge MonitorSet::CompiledCharges instead of
+// building a set; those charges must be the built set's to the byte.
+TEST(CompiledBackendTest, CompiledChargesMatchTheBuiltSet) {
+  const CostModel& costs = DefaultCostModel();
+  for (FuzzApp& app : FuzzApps()) {
+    auto parsed = SpecParser::Parse(app.spec);
+    ASSERT_TRUE(parsed.ok());
+    auto lowered = LowerSpec(parsed.value(), app.graph);
+    ASSERT_TRUE(lowered.ok()) << app.name;
+    std::vector<CompiledMachine> machines;
+    for (const StateMachine& machine : lowered.value()) {
+      auto compiled = CompileStateMachine(machine);
+      ASSERT_TRUE(compiled.ok()) << app.name;
+      machines.push_back(std::move(compiled).value());
+    }
+    auto set = BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kCompiled);
+    ASSERT_TRUE(set.ok()) << app.name;
+    const MonitorCharges charges = MonitorSet::CompiledCharges(machines, costs);
+    EXPECT_EQ(charges.fram_bytes, set.value()->FramBytes()) << app.name;
+    ASSERT_EQ(charges.step_cycles.size(), set.value()->size()) << app.name;
+    for (std::size_t i = 0; i < set.value()->size(); ++i) {
+      EXPECT_EQ(charges.step_cycles[i], set.value()->monitor(i).StepCycles(costs)) << app.name;
+    }
   }
 }
 

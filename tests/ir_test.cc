@@ -108,8 +108,9 @@ TEST(StmtTest, IfBranches) {
 TEST(StmtTest, FailFillsVerdict) {
   VarEnv env;
   MonitorVerdict verdict;
-  const bool failed =
-      ExecStmts({Fail(ActionType::kSkipPath, 2, "p")}, &env, MonitorEvent{}, &verdict);
+  // The verdict borrows its label from the statement, which must outlive it.
+  const std::vector<StmtPtr> body = {Fail(ActionType::kSkipPath, 2, "p")};
+  const bool failed = ExecStmts(body, &env, MonitorEvent{}, &verdict);
   EXPECT_TRUE(failed);
   EXPECT_EQ(verdict.action, ActionType::kSkipPath);
   EXPECT_EQ(verdict.target_path, 2u);

@@ -168,7 +168,8 @@ TEST(TaskContextTest, StagesWithoutMutatingCommitted) {
   ChannelStore store(2);
   store.AppendSamples(a, {5.0});
   Rng rng(1);
-  TaskContext ctx(&graph, &store, b, 0, &rng);
+  TaskStaging staging;
+  TaskContext ctx(&graph, &store, b, 0, &rng, &staging);
   ctx.Push(9.0);
   ctx.ConsumeAll("a");
   ctx.SetMonitored(3.3);

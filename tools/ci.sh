@@ -27,7 +27,10 @@
 #   7. Fleet determinism smoke: `artemisc fleet` over a small device fleet
 #      must produce byte-identical JSON for --shards 1 and --shards 4, with
 #      exit 0, in batch mode and in scalar mode under outage charges and
-#      mixed budgets (the in-loop monitors' power-failure path); the
+#      mixed budgets (the in-loop monitors' power-failure path), and the
+#      scalar outage run with the compiled backend (which skips monitors
+#      whose event column is dead) must equal the interpreted run (which
+#      never skips) outside the backend and monitor-energy lines; the
 #      batch-VM differential fuzz runs in stage 1/2/9 via
 #      compiled_monitor_test and fleet_test covers shard/tile determinism;
 #      the same infeasible deployment must be refused with exit 2.
@@ -269,6 +272,26 @@ if ! diff -q "${outage_s1}" "${outage_s4}" > /dev/null; then
   exit 1
 fi
 echo "ok: scalar outage fleet JSON is byte-identical for --shards 1 and --shards 4"
+
+# Whole-output equivalence of the scalar dead-column skip: the compiled
+# backend skips Step for monitors whose (kind, task) column is dead, the
+# interpreter never skips. Only the backend name and the monitor energy
+# (a cost-model difference) may differ.
+outage_interp="$(mktemp /tmp/artemis_outage_interp.XXXXXX.json)"
+trap 'rm -f "${trace_tmp}" "${flight_tmp}" "${sweep_j1}" "${sweep_j4}" \
+  "${fleet_s1}" "${fleet_s4}" "${outage_s1}" "${outage_s4}" "${outage_interp}"' EXIT
+"${artemisc}" fleet --app health --monitor scalar --backend interpreted --devices 48 \
+  --minutes 120 --charges 1min,6min --budgets 19500,12000,6000 --stats --shards 4 \
+  --format json --out "${outage_interp}"
+mask_cost_lines() {
+  grep -v -e '"backend":' -e '"monitor_energy_nj":' -e '"monitor_share":' "$1"
+}
+if ! diff <(mask_cost_lines "${outage_s4}") <(mask_cost_lines "${outage_interp}") > /dev/null; then
+  echo "CI FAIL: scalar outage fleet JSON differs between compiled and interpreted backends" >&2
+  diff <(mask_cost_lines "${outage_s4}") <(mask_cost_lines "${outage_interp}") >&2 || true
+  exit 1
+fi
+echo "ok: scalar outage fleet JSON matches between compiled (skipping) and interpreted backends"
 
 # Fleet parity: the same infeasible deployment is refused up front.
 rc=0

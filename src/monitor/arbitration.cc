@@ -14,6 +14,19 @@ const char* ArbitrationPolicyName(ArbitrationPolicy policy) {
   return "?";
 }
 
+bool ParseArbitrationPolicy(std::string_view text, ArbitrationPolicy* out) {
+  if (text == "severity") {
+    *out = ArbitrationPolicy::kSeverity;
+  } else if (text == "first-wins") {
+    *out = ArbitrationPolicy::kFirstWins;
+  } else if (text == "last-wins") {
+    *out = ArbitrationPolicy::kLastWins;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 MonitorVerdict Arbitrate(const std::vector<MonitorVerdict>& verdicts,
                          ArbitrationPolicy policy) {
   MonitorVerdict chosen;

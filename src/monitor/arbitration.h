@@ -6,6 +6,7 @@
 #define SRC_MONITOR_ARBITRATION_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/kernel/checker.h"
@@ -23,6 +24,8 @@ enum class ArbitrationPolicy {
 };
 
 const char* ArbitrationPolicyName(ArbitrationPolicy policy);
+// Parses "severity" / "first-wins" / "last-wins"; false on anything else.
+bool ParseArbitrationPolicy(std::string_view text, ArbitrationPolicy* out);
 
 MonitorVerdict Arbitrate(const std::vector<MonitorVerdict>& verdicts,
                          ArbitrationPolicy policy);

@@ -20,6 +20,19 @@ const char* MonitorBackendName(MonitorBackend backend) {
   return "?";
 }
 
+bool ParseMonitorBackend(std::string_view text, MonitorBackend* out) {
+  if (text == "builtin") {
+    *out = MonitorBackend::kBuiltin;
+  } else if (text == "interpreted") {
+    *out = MonitorBackend::kInterpreted;
+  } else if (text == "compiled") {
+    *out = MonitorBackend::kCompiled;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 const char* MonitorPlacementName(MonitorPlacement placement) {
   switch (placement) {
     case MonitorPlacement::kSeparate:

@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/status.h"
@@ -38,6 +39,8 @@ namespace artemis {
 enum class MonitorBackend { kInterpreted, kBuiltin, kCompiled };
 
 const char* MonitorBackendName(MonitorBackend backend);
+// Parses "builtin" / "interpreted" / "compiled"; false on anything else.
+bool ParseMonitorBackend(std::string_view text, MonitorBackend* out);
 
 // Where the monitors live relative to the application MCU — the Section 7
 // "Implementation Alternatives" trade-off:
@@ -65,7 +68,7 @@ struct RadioProfile {
 struct MonitorSetOptions {
   ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
   MonitorPlacement placement = MonitorPlacement::kSeparate;
-  RadioProfile radio;  // Used by kRemote only.
+  RadioProfile radio{};  // Used by kRemote only.
 };
 
 // Charges monitors `first..` their per-event step costs, one

@@ -82,8 +82,8 @@ struct Event {
   double value = 0.0;           // kind-specific scalar (bytes, candidate count)
   double energy_uj = -1.0;      // cumulative MCU energy at event time; <0 = absent
   double energy_fraction = -1.0;  // stored-energy fraction in [0,1]; <0 = absent
-  std::string action;           // corrective-action name, "" = none
-  std::string detail;           // property name or free-form note
+  std::string action{};         // corrective-action name, "" = none
+  std::string detail{};         // property name or free-form note
 };
 
 // Renders the kernel lifecycle events (kKernelBoot through kAppComplete) as

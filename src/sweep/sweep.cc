@@ -64,20 +64,6 @@ StatusOr<std::string> DefaultSpecForApp(const std::string& app) {
 
 namespace {
 
-StatusOr<MonitorBackend> ParseBackend(const std::string& name) {
-  if (name == "builtin") {
-    return MonitorBackend::kBuiltin;
-  }
-  if (name == "interpreted") {
-    return MonitorBackend::kInterpreted;
-  }
-  if (name == "compiled") {
-    return MonitorBackend::kCompiled;
-  }
-  return Status::Invalid("sweep: unknown backend '" + name +
-                         "' (builtin|interpreted|compiled)");
-}
-
 StatusOr<flight::FlightLevel> ParseFlightAxis(const std::string& text) {
   flight::FlightLevel level = flight::FlightLevel::kOff;
   if (!flight::ParseFlightLevel(text, &level)) {
@@ -251,11 +237,12 @@ StatusOr<std::vector<SweepPoint>> ExpandGrid(const SweepSpec& spec) {
   }
   std::vector<std::pair<std::string, MonitorBackend>> backends;
   for (const std::string& name : spec.backends) {
-    StatusOr<MonitorBackend> backend = ParseBackend(name);
-    if (!backend.ok()) {
-      return backend.status();
+    MonitorBackend backend = MonitorBackend::kBuiltin;
+    if (!ParseMonitorBackend(name, &backend)) {
+      return Status::Invalid("sweep: unknown backend '" + name +
+                             "' (builtin|interpreted|compiled)");
     }
-    backends.emplace_back(name, backend.value());
+    backends.emplace_back(name, backend);
   }
   for (const SpecSource& source : spec.specs) {
     if (source.label.empty()) {

@@ -35,16 +35,6 @@ MonitorImage MustImage(const std::string& spec, const AppGraph& graph, std::uint
   return image.value();
 }
 
-int FindMachine(const MonitorImage& image, const std::string& name) {
-  const auto& compiled = image.artifact->compiled;
-  for (std::size_t i = 0; i < compiled.size(); ++i) {
-    if (compiled[i].name == name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 int StateId(const CompiledMachine& machine, const std::string& name) {
   for (std::size_t i = 0; i < machine.state_names.size(); ++i) {
     if (machine.state_names[i] == name) {

@@ -1,13 +1,15 @@
 // CLI-level tests for the artemisc toolchain binary: exit codes and key
-// output fragments across the check / pretty / codegen / dot / simulate
-// verbs. The binary path comes from CMake via ARTEMISC_BIN, the source tree
-// (for goldens) via ARTEMIS_SOURCE_DIR.
+// output fragments across the subcommands, and the argument table's
+// contract (generated help, per-command flags, strict values). The binary
+// path comes from CMake via ARTEMISC_BIN, the source tree (for goldens) via
+// ARTEMIS_SOURCE_DIR.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace artemis {
 namespace {
@@ -281,6 +283,140 @@ TEST(ArtemiscTest, TraceDiffMissingFileExitTwo) {
 TEST(ArtemiscTest, TraceRejectsBadScheduleAndFormat) {
   EXPECT_EQ(RunCli("trace --app health --schedule nonsense").exit_code, 2);
   EXPECT_EQ(RunCli("trace --app health --format xml").exit_code, 2);
+}
+
+// ------------------------------------------------------- argument table --
+
+const char* const kCommands[] = {"check", "pretty",     "codegen", "dot",   "simulate",  "profile",
+                                 "trace", "trace diff", "sweep",   "fleet", "forensics", "swap"};
+
+std::string HealthSpec() { return std::string(ARTEMIS_SOURCE_DIR) + "/examples/specs/health.prop"; }
+
+TEST(ArtemiscArgsTest, TopLevelHelpListsEveryCommand) {
+  const RunResult result = RunCli("--help");
+  EXPECT_EQ(result.exit_code, 0);
+  for (const char* command : kCommands) {
+    EXPECT_NE(result.output.find(std::string("\n  ") + command + " "), std::string::npos)
+        << command;
+  }
+  EXPECT_NE(result.output.find("exit codes:"), std::string::npos);
+}
+
+TEST(ArtemiscArgsTest, HelpExitsZeroForEveryCommand) {
+  for (const char* command : kCommands) {
+    const RunResult result = RunCli(std::string(command) + " --help");
+    EXPECT_EQ(result.exit_code, 0) << command;
+    EXPECT_EQ(result.output.rfind(std::string("usage: artemisc ") + command, 0), 0u) << command;
+  }
+  // --help wins wherever it stands, even after operands.
+  EXPECT_EQ(RunCli("check " + HealthSpec() + " --help").exit_code, 0);
+}
+
+TEST(ArtemiscArgsTest, HelpShowsOnlyTheCommandsFlags) {
+  const RunResult pretty = RunCli("pretty --help");
+  EXPECT_NE(pretty.output.find("--mayfly-lang"), std::string::npos);
+  EXPECT_EQ(pretty.output.find("--devices"), std::string::npos);
+  EXPECT_EQ(pretty.output.find("--app"), std::string::npos);
+  const RunResult fleet = RunCli("fleet --help");
+  EXPECT_NE(fleet.output.find("--devices <n>"), std::string::npos);
+  EXPECT_NE(fleet.output.find("(default compiled)"), std::string::npos);
+  EXPECT_NE(fleet.output.find("--format json|table"), std::string::npos);
+  EXPECT_EQ(fleet.output.find("--mayfly-lang"), std::string::npos);
+  const RunResult simulate = RunCli("simulate --help");
+  EXPECT_NE(simulate.output.find("health, greenhouse or ar"), std::string::npos);
+}
+
+TEST(ArtemiscArgsTest, FlagOfAnotherCommandExitsTwo) {
+  const RunResult result = RunCli("pretty " + HealthSpec() + " --devices 5");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("--devices"), std::string::npos);
+  EXPECT_EQ(RunCli("simulate --jobs 3").exit_code, 2);
+}
+
+// Values the old flag loop read with atoi/atof and ran with anyway.
+TEST(ArtemiscArgsTest, MalformedValuesExitTwoAndNameTheFlag) {
+  const std::string spec = HealthSpec();
+  const std::pair<std::string, std::string> cases[] = {
+      {"sweep --jobs 3x", "--jobs"},
+      {"fleet --seed abc", "--seed"},
+      {"check " + spec + " --budgets abc --analyze", "--budgets"},
+      {"simulate --charge 6min --budget abc", "--budget"},
+      {"check " + spec + " --budget 0", "--budget"},
+      {"check " + spec + " --budgets 19500,inf", "--budgets"},
+      {"fleet --tile 4294967296", "--tile"},
+      {"fleet --devices -1", "--devices"},
+      {"fleet --minutes 99999999999999999999", "--minutes"},
+      {"sweep --seeds 1,,2", "--seeds"},
+      {"forensics detect --min-attempts 2.5", "--min-attempts"},
+      {"trace --schedule 1s", "--schedule"},
+      {"check " + spec + " --flight on", "--flight"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const RunResult result = RunCli(args);
+    EXPECT_EQ(result.exit_code, 2) << args;
+    EXPECT_NE(result.output.find("for " + flag + " "), std::string::npos) << args;
+  }
+}
+
+TEST(ArtemiscArgsTest, DocumentedValuesStillParse) {
+  const std::string spec = HealthSpec();
+  EXPECT_EQ(RunCli("check " + spec + " --app health --budgets 1 --charges 6min").exit_code, 0);
+  EXPECT_EQ(RunCli("check " + spec + " --budgets 18005,19500 --charges continuous,1min --analyze")
+                .exit_code,
+            0);
+}
+
+TEST(ArtemiscArgsTest, SweepAndFleetRejectTheTraceFormat) {
+  EXPECT_EQ(RunCli("sweep --format jsonl").exit_code, 2);
+  EXPECT_EQ(RunCli("fleet --format jsonl").exit_code, 2);
+}
+
+TEST(ArtemiscArgsTest, SweepAcceptsAxisFlags) {
+  const RunResult result =
+      RunCli("sweep --systems artemis --charges continuous --budgets 19500 --seeds 0 "
+             "--jobs 2 --format csv");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("artemis"), std::string::npos);
+}
+
+TEST(ArtemiscArgsTest, SweepRejectsExtraOperand) {
+  EXPECT_EQ(RunCli("sweep a.json b.json").exit_code, 2);
+}
+
+TEST(ArtemiscArgsTest, FleetAcceptsDeviceFlags) {
+  const RunResult result =
+      RunCli("fleet --devices 8 --shards 2 --tile 4 --seed 0 --iterations 1 --format json");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("\"devices\": 8"), std::string::npos);
+}
+
+TEST(ArtemiscArgsTest, FleetRejectsMonitorMode) {
+  EXPECT_EQ(RunCli("fleet --monitor vectorized").exit_code, 2);
+}
+
+TEST(ArtemiscArgsTest, ForensicsAcceptsDetectFlags) {
+  const RunResult result =
+      RunCli("forensics detect --app health --schedule 6min --gap 10min --min-attempts 3");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+}
+
+TEST(ArtemiscArgsTest, ForensicsRejectsUnknownModeAndLevel) {
+  EXPECT_EQ(RunCli("forensics replay").exit_code, 2);
+  EXPECT_EQ(RunCli("forensics dump --level off").exit_code, 2);
+}
+
+TEST(ArtemiscArgsTest, SwapAcceptsTwoSpecs) {
+  const std::string spec = HealthSpec();
+  const RunResult result =
+      RunCli("swap " + spec + " " + spec + " --app health --schedule 6min --swap-at 2min");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("APPLIED"), std::string::npos);
+}
+
+TEST(ArtemiscArgsTest, SwapRejectsMissingReplacementAndBadSwapTime) {
+  const std::string spec = HealthSpec();
+  EXPECT_EQ(RunCli("swap " + spec).exit_code, 2);
+  EXPECT_EQ(RunCli("swap " + spec + " " + spec + " --swap-at soon").exit_code, 2);
 }
 
 }  // namespace

@@ -1,41 +1,7 @@
 // artemisc — the ARTEMIS command-line toolchain, the CLI counterpart of the
-// paper's Xtext/Eclipse workbench (Figure 3).
-//
-//   artemisc check    <spec-file> [--app health|greenhouse] [--mayfly-lang]
-//                     [--analyze] [--json] [--Werror] [--policy <p>]
-//                     [--charges continuous,1min,...] [--budgets <uJ>,...]
-//                     [--no-immortal] [--flight off|verdicts|full]
-//                     [--flight-bytes N]
-//   artemisc pretty   <spec-file>
-//   artemisc codegen  <spec-file> [--app ...] [--no-immortal] [--no-analyze]
-//   artemisc dot      <spec-file> [--app ...] [--no-analyze]
-//   artemisc simulate [--app ...] [--spec <file>] [--system artemis|mayfly]
-//                     [--backend builtin|interpreted|compiled]
-//                     [--charge <duration>] [--budget <uJ>] [--trace]
-//   artemisc trace    [<spec-file>] [--app ...] [--schedule 6min|continuous]
-//                     [--budget <uJ>] [--backend ...]
-//                     [--format jsonl|perfetto|stats] [--out <file>]
-//   artemisc trace diff <a.jsonl> <b.jsonl>
-//   artemisc sweep    [<grid.json>] [--app ...] [--systems a,b] [--spec <file>]
-//                     [--charges continuous,1min,...] [--budgets <uJ>,...]
-//                     [--backends ...] [--timekeepers ...] [--seeds ...]
-//                     [--max-wall <duration>] [--stats] [--jobs N]
-//                     [--flight off|verdicts|full] [--flight-bytes N]
-//                     [--no-analyze] [--format json|csv|table] [--out <file>]
-//   artemisc fleet    [--devices N] [--shards J] [--minutes M | --iterations K]
-//                     [--app ...] [--spec <file>] [--monitor scalar|batch]
-//                     [--backend ...] [--charges continuous,6min,...]
-//                     [--budgets <uJ>,...] [--seed S] [--tile N] [--stats]
-//                     [--no-analyze] [--format json|table] [--out <file>]
-//   artemisc forensics <dump|timeline|audit|detect> [--app ...] [--spec <file>]
-//                     [--schedule 6min|continuous] [--budget <uJ>]
-//                     [--backend ...] [--level verdicts|full]
-//                     [--flight-bytes N] [--spec2 <file>] [--swap-at <duration>]
-//                     [--gap <duration>] [--min-attempts N] [--out <file>]
-//   artemisc swap     <spec-v1> <spec-v2> [--app ...] [--swap-at <duration>]
-//                     [--schedule 6min|continuous] [--budget <uJ>]
-//                     [--flight off|verdicts|full] [--flight-bytes N]
-//                     [--no-analyze] [--json] [--Werror]
+// paper's Xtext/Eclipse workbench (Figure 3). `artemisc --help` lists the
+// commands and `artemisc <command> --help` prints one command's operands and
+// flags; both are generated from the kCommands and kFlags tables below.
 //
 // `check` runs parse -> validate -> consistency analysis and, with
 // --analyze, the FSM IR static analyzer (src/analysis); `codegen`/`dot` run
@@ -71,18 +37,19 @@
 //
 // Exit codes: 0 = clean, 1 = findings / failures, 2 = usage or I/O error.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
-#include "src/apps/ar_app.h"
-#include "src/apps/greenhouse_app.h"
-#include "src/apps/health_app.h"
 #include "src/base/units.h"
 #include "src/core/builder.h"
 #include "src/core/obs_stats.h"
@@ -119,54 +86,157 @@ constexpr int kExitClean = 0;
 constexpr int kExitFindings = 1;
 constexpr int kExitUsage = 2;
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: artemisc <check|pretty|codegen|dot|simulate> [args]\n"
-               "  check    <spec> [--app health|greenhouse] [--mayfly-lang]\n"
-               "           [--analyze] [--json] [--Werror]\n"
-               "           [--policy severity|first-wins|last-wins]\n"
-               "           [--charges continuous,1min,...] [--budgets <uJ>,...]\n"
-               "           [--no-immortal] [--flight off|verdicts|full]\n"
-               "           [--flight-bytes N] [--spec2 <replacement-spec>]\n"
-               "  pretty   <spec>\n"
-               "  codegen  <spec> [--app ...] [--no-immortal] [--no-analyze]\n"
-               "  dot      <spec> [--app ...] [--no-analyze]\n"
-               "  simulate [--app ...] [--spec <file>] [--system artemis|mayfly]\n"
-               "           [--backend builtin|interpreted|compiled]\n"
-               "           [--charge <duration>] [--budget <uJ>] [--trace]\n"
-               "  profile  [--app ...] [--backend builtin|interpreted|compiled]\n"
-               "  trace    [<spec>] [--app ...] [--schedule 6min|continuous]\n"
-               "           [--budget <uJ>] [--backend ...]\n"
-               "           [--format jsonl|perfetto|stats] [--out <file>]\n"
-               "  trace diff <a.jsonl> <b.jsonl>\n"
-               "  sweep    [<grid.json>] [--app ...] [--systems a,b] [--spec <file>]\n"
-               "           [--charges continuous,1min,...] [--budgets <uJ>,...]\n"
-               "           [--backends ...] [--timekeepers ...] [--seeds ...]\n"
-               "           [--max-wall <duration>] [--stats] [--jobs N]\n"
-               "           [--flight off|verdicts|full] [--flight-bytes N]\n"
-               "           [--spec2 <file>] [--swap-at <duration>]\n"
-               "           [--no-analyze] [--format json|csv|table] [--out <file>]\n"
-               "  fleet    [--devices N] [--shards J] [--minutes M | --iterations K]\n"
-               "           [--app ...] [--spec <file>] [--monitor scalar|batch]\n"
-               "           [--backend ...] [--charges continuous,6min,...]\n"
-               "           [--budgets <uJ>,...] [--seed S] [--tile N] [--stats]\n"
-               "           [--no-analyze] [--format json|table] [--out <file>]\n"
-               "  forensics <dump|timeline|audit|detect> [--app ...] [--spec <file>]\n"
-               "           [--schedule 6min|continuous] [--budget <uJ>] [--backend ...]\n"
-               "           [--level verdicts|full] [--flight-bytes N]\n"
-               "           [--spec2 <file>] [--swap-at <duration>]\n"
-               "           [--gap <duration>] [--min-attempts N] [--out <file>]\n"
-               "  swap     <spec-v1> <spec-v2> [--app ...] [--swap-at <duration>]\n"
-               "           [--schedule 6min|continuous] [--budget <uJ>]\n"
-               "           [--flight off|verdicts|full] [--flight-bytes N]\n"
-               "           [--no-analyze] [--json] [--Werror]\n"
-               "exit codes: 0 = clean, 1 = findings or failures, 2 = usage/IO error\n");
-  return kExitUsage;
+// One invocation. Only the command's operands and its flags write it; every
+// default comes from the flag table or the command's overrides.
+struct Args {
+  std::string spec_path;   // <spec>, <spec-v1> or --spec; empty = the app's spec
+  std::string spec2_path;  // <spec-v2> or --spec2: the hot-swap replacement
+  std::string grid_path;   // sweep's <grid.json>
+  std::string mode;        // forensics mode
+  std::string diff_left;   // trace diff operands
+  std::string diff_right;
+  std::string app;       // empty = the sweep grid file's app
+  std::string app_file;  // app-description-language source; replaces --app
+  std::string out_path;  // empty = stdout
+  bool mayfly_lang = false;
+  bool analyze = false;     // check: run the FSM IR static analyzer
+  bool no_analyze = false;  // skip the analyzer gate
+  bool json = false;        // machine-readable diagnostics on stdout
+  bool werror = false;      // promote analyzer warnings to errors
+  bool no_immortal = false;
+  bool trace = false;
+  bool stats = false;
+  std::string system;
+  MonitorBackend backend = MonitorBackend::kBuiltin;
+  ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
+  std::string format;
+  SimDuration charge = 0;  // simulate --charge; 0 = continuous power
+  EnergyUj budget = 0;
+  std::string schedule;             // --schedule as given, echoed in reports
+  SimDuration schedule_charge = 0;  // the same as a charge time; 0 = continuous
+  std::string flight;               // --flight as given; empty = not set
+  flight::FlightLevel flight_level = flight::FlightLevel::kOff;  // --flight or --level
+  std::size_t flight_bytes = 0;
+  std::optional<SimDuration> swap_at;
+  // Axes; empty = the analyzer's, the engine's or the grid file's default.
+  std::vector<std::string> systems;
+  std::vector<std::string> backends;
+  std::vector<std::string> timekeepers;
+  std::vector<SimDuration> charges;
+  std::vector<EnergyUj> budgets;
+  std::vector<std::uint64_t> seeds;
+  std::optional<SimDuration> max_wall;
+  int jobs = 0;
+  std::uint64_t devices = 0;
+  int shards = 0;
+  SimDuration horizon = 0;  // fleet --minutes; 0 = fixed-pass mode
+  std::uint64_t iterations = 0;
+  std::string monitor;
+  std::uint32_t tile = 0;
+  std::uint64_t seed = 0;
+  SimDuration gap = 0;
+  std::uint32_t min_attempts = 0;
+};
+
+// ---- value parsers: each takes the whole token or rejects it ------------
+
+// A number in [min, max] spelled by the whole token: no '+', blanks or
+// trailing bytes, and no overflow of T. NaN lies outside every range.
+template <typename T>
+bool ParseNumber(std::string_view text, T min, T max, T* out) {
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result result = std::from_chars(text.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end || !(value >= min && value <= max)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
+template <typename T>
+bool ParsePositive(std::string_view text, T* out) {
+  return ParseNumber(text, T{1}, std::numeric_limits<T>::max(), out);
+}
+
+bool ParseSeed(std::string_view text, std::uint64_t* out) {
+  return ParseNumber(text, std::uint64_t{0}, std::numeric_limits<std::uint64_t>::max(), out);
+}
+
+// An energy budget in uJ: finite and greater than 0.
+bool ParseBudget(std::string_view text, EnergyUj* out) {
+  return ParseNumber(text, std::numeric_limits<EnergyUj>::denorm_min(),
+                     std::numeric_limits<EnergyUj>::max(), out);
+}
+
+// A charge schedule, "continuous" or a period like "6min", as the charge
+// time after each on-period (the benches' charge-bin convention).
+bool ParseCharge(std::string_view text, SimDuration* out) {
+  const StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(std::string(text));
+  if (!charge.ok()) {
+    return false;
+  }
+  *out = charge.value();
+  return true;
+}
+
+bool ParseText(std::string_view text, std::string* out) {
+  *out = text;
+  return true;
+}
+
+// A comma-separated list whose every item `parse_item` accepts.
+template <typename T, typename ParseItem>
+bool ParseList(std::string_view text, ParseItem parse_item, std::vector<T>* out) {
+  out->clear();
+  while (true) {
+    const std::size_t comma = std::min(text.find(','), text.size());
+    T item{};
+    if (!parse_item(text.substr(0, comma), &item)) {
+      return false;
+    }
+    out->push_back(std::move(item));
+    if (comma == text.size()) {
+      return true;
+    }
+    text.remove_prefix(comma + 1);
+  }
+}
+
+// Parsers that store a switch, a string, a positive integer or a duration
+// into one Args member.
+template <bool Args::*kField>
+bool SetSwitch(std::string_view /*value*/, Args& args) {
+  args.*kField = true;
+  return true;
+}
+
+template <std::string Args::*kField>
+bool SetText(std::string_view value, Args& args) {
+  args.*kField = value;
+  return true;
+}
+
+template <auto kField>
+bool SetPositive(std::string_view value, Args& args) {
+  return ParsePositive(value, &(args.*kField));
+}
+
+template <auto kField>
+bool SetDuration(std::string_view value, Args& args) {
+  const std::optional<SimDuration> parsed = ParseDuration(value);
+  if (parsed.has_value()) {
+    args.*kField = *parsed;
+  }
+  return parsed.has_value();
+}
+
+// ---- helpers shared by the commands ------------------------------------
+
 std::optional<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
+    std::fprintf(stderr, "artemisc: cannot read '%s'\n", path.c_str());
     return std::nullopt;
   }
   std::ostringstream buffer;
@@ -174,389 +244,34 @@ std::optional<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-struct Args {
-  std::string command;
-  std::string spec_path;
-  std::string app = "health";
-  std::string app_file;  // --app-file: app-description-language source
-  std::string system = "artemis";
-  MonitorBackend backend = MonitorBackend::kBuiltin;
-  bool mayfly_lang = false;
-  bool immortal = true;
-  bool trace = false;
-  bool analyze = false;     // check: run the FSM IR static analyzer
-  bool no_analyze = false;  // codegen/dot: skip the analyzer gate
-  bool json = false;        // check --analyze: machine-readable diagnostics
-  bool werror = false;      // promote analyzer warnings to errors
-  ArbitrationPolicy policy = ArbitrationPolicy::kSeverity;
-  SimDuration charge = 0;
-  EnergyUj budget = 19'500.0;
-  // trace command only.
-  std::string schedule = "6min";  // charge-bin name or "continuous"
-  std::string format = "jsonl";   // jsonl | perfetto | stats
-  std::string out_path;           // --out; empty = stdout
-  std::string diff_left;          // trace diff operands
-  std::string diff_right;
-  // sweep command only. Comma-separated axis lists; empty = keep the grid
-  // file's (or the engine's) defaults.
-  std::string grid_path;
-  std::string sweep_systems;
-  std::string sweep_charges;
-  std::string sweep_budgets;
-  std::string sweep_backends;
-  std::string sweep_timekeepers;
-  std::string sweep_seeds;
-  std::string sweep_max_wall;
-  std::string sweep_flight;  // --flight: recorder level axis for sweep
-  bool sweep_stats = false;
-  int jobs = 1;
-  // fleet command only. Charges/budgets/stats reuse the sweep axis fields.
-  std::uint64_t fleet_devices = 1000;   // --devices
-  int fleet_shards = 1;                 // --shards
-  std::string fleet_minutes;            // --minutes: horizon mode
-  std::string fleet_iterations;         // --iterations: fixed-pass mode
-  std::string fleet_monitor = "batch";  // --monitor scalar|batch
-  std::uint32_t fleet_tile = 256;       // --tile
-  std::uint64_t fleet_seed = 1;         // --seed
-  bool backend_set = false;  // fleet defaults to compiled unless --backend given
-  // swap command (second positional) and check --spec2: the replacement
-  // spec whose image hot-swaps over the running one (docs/hotswap.md).
-  std::string spec2_path;
-  std::string swap_at;  // --swap-at: earliest swap delivery time (duration)
-  // forensics command only.
-  std::string forensics_mode;         // dump | timeline | audit | detect
-  std::string flight_level = "full";  // --level
-  std::size_t flight_bytes = 1024;    // --flight-bytes (ring capacity)
-  SimDuration detect_gap = 5 * kMinute;  // --gap
-  std::uint32_t min_attempts = 3;        // --min-attempts
-};
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  if (argc < 2) {
+// Writes `text` to --out, or to stdout without one; false if --out cannot
+// be written.
+bool WriteOutput(const Args& args, const std::string& text) {
+  if (args.out_path.empty()) {
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return true;
+  }
+  std::ofstream out(args.out_path, std::ios::binary);
+  if (!out) {
+    std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
     return false;
   }
-  args->command = argv[1];
-  int i = 2;
-  if (args->command == "trace") {
-    // `trace diff <a> <b>` is its own mode; otherwise the spec file is an
-    // optional positional (the demo app's embedded spec is the default).
-    if (i < argc && std::strcmp(argv[i], "diff") == 0) {
-      args->command = "trace-diff";
-      ++i;
-      if (i + 1 >= argc) {
-        return false;
-      }
-      args->diff_left = argv[i++];
-      args->diff_right = argv[i++];
-    } else if (i < argc && argv[i][0] != '-') {
-      args->spec_path = argv[i++];
-    }
-  } else if (args->command == "sweep") {
-    if (i < argc && argv[i][0] != '-') {
-      args->grid_path = argv[i++];
-    }
-  } else if (args->command == "forensics") {
-    if (i >= argc || argv[i][0] == '-') {
-      std::fprintf(stderr, "artemisc: forensics wants a mode (dump|timeline|audit|detect)\n");
-      return false;
-    }
-    args->forensics_mode = argv[i++];
-    if (args->forensics_mode != "dump" && args->forensics_mode != "timeline" &&
-        args->forensics_mode != "audit" && args->forensics_mode != "detect") {
-      std::fprintf(stderr, "artemisc: unknown forensics mode '%s' (dump|timeline|audit|detect)\n",
-                   args->forensics_mode.c_str());
-      return false;
-    }
-  } else if (args->command == "swap") {
-    if (i + 1 >= argc || argv[i][0] == '-' || argv[i + 1][0] == '-') {
-      std::fprintf(stderr, "artemisc: swap wants two spec files (installed, replacement)\n");
-      return false;
-    }
-    args->spec_path = argv[i++];
-    args->spec2_path = argv[i++];
-  } else if (args->command != "simulate" && args->command != "profile" &&
-             args->command != "fleet") {
-    if (i >= argc) {
-      return false;
-    }
-    args->spec_path = argv[i++];
-  }
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (flag == "--app") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->app = value;
-    } else if (flag == "--app-file") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->app_file = value;
-    } else if (flag == "--system") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->system = value;
-    } else if (flag == "--backend") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      if (std::strcmp(value, "builtin") == 0) {
-        args->backend = MonitorBackend::kBuiltin;
-      } else if (std::strcmp(value, "interpreted") == 0) {
-        args->backend = MonitorBackend::kInterpreted;
-      } else if (std::strcmp(value, "compiled") == 0) {
-        args->backend = MonitorBackend::kCompiled;
-      } else {
-        std::fprintf(stderr,
-                     "artemisc: unknown backend '%s' (builtin|interpreted|compiled)\n", value);
-        return false;
-      }
-      args->backend_set = true;
-    } else if (flag == "--spec") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->spec_path = value;
-    } else if (flag == "--charge") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      const std::optional<SimDuration> parsed = ParseDuration(value);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "artemisc: bad duration '%s'\n", value);
-        return false;
-      }
-      args->charge = *parsed;
-    } else if (flag == "--budget") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->budget = std::atof(value);
-    } else if (flag == "--schedule") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->schedule = value;
-    } else if (flag == "--format") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->format = value;
-    } else if (flag == "--out") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->out_path = value;
-    } else if (flag == "--policy") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      if (std::strcmp(value, "severity") == 0) {
-        args->policy = ArbitrationPolicy::kSeverity;
-      } else if (std::strcmp(value, "first-wins") == 0) {
-        args->policy = ArbitrationPolicy::kFirstWins;
-      } else if (std::strcmp(value, "last-wins") == 0) {
-        args->policy = ArbitrationPolicy::kLastWins;
-      } else {
-        std::fprintf(stderr, "artemisc: unknown policy '%s' (severity|first-wins|last-wins)\n",
-                     value);
-        return false;
-      }
-    } else if (flag == "--analyze") {
-      args->analyze = true;
-    } else if (flag == "--no-analyze") {
-      args->no_analyze = true;
-    } else if (flag == "--json") {
-      args->json = true;
-    } else if (flag == "--Werror") {
-      args->werror = true;
-    } else if (flag == "--mayfly-lang") {
-      args->mayfly_lang = true;
-    } else if (flag == "--no-immortal") {
-      args->immortal = false;
-    } else if (flag == "--trace") {
-      args->trace = true;
-    } else if (flag == "--jobs") {
-      const char* value = next();
-      if (value == nullptr || std::atoi(value) < 1) {
-        std::fprintf(stderr, "artemisc: --jobs wants a positive integer\n");
-        return false;
-      }
-      args->jobs = std::atoi(value);
-    } else if (flag == "--systems") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_systems = value;
-    } else if (flag == "--charges") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_charges = value;
-    } else if (flag == "--budgets") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_budgets = value;
-    } else if (flag == "--backends") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_backends = value;
-    } else if (flag == "--timekeepers") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_timekeepers = value;
-    } else if (flag == "--seeds") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_seeds = value;
-    } else if (flag == "--max-wall") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_max_wall = value;
-    } else if (flag == "--stats") {
-      args->sweep_stats = true;
-    } else if (flag == "--flight") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->sweep_flight = value;
-    } else if (flag == "--devices") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --devices wants a positive integer\n");
-        return false;
-      }
-      args->fleet_devices = static_cast<std::uint64_t>(std::atoll(value));
-    } else if (flag == "--shards") {
-      const char* value = next();
-      if (value == nullptr || std::atoi(value) < 1) {
-        std::fprintf(stderr, "artemisc: --shards wants a positive integer\n");
-        return false;
-      }
-      args->fleet_shards = std::atoi(value);
-    } else if (flag == "--minutes") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --minutes wants a positive integer\n");
-        return false;
-      }
-      args->fleet_minutes = value;
-    } else if (flag == "--iterations") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --iterations wants a positive integer\n");
-        return false;
-      }
-      args->fleet_iterations = value;
-    } else if (flag == "--monitor") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->fleet_monitor = value;
-    } else if (flag == "--tile") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --tile wants a positive integer\n");
-        return false;
-      }
-      args->fleet_tile = static_cast<std::uint32_t>(std::atoll(value));
-    } else if (flag == "--seed") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->fleet_seed = static_cast<std::uint64_t>(std::atoll(value));
-    } else if (flag == "--level") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->flight_level = value;
-    } else if (flag == "--flight-bytes") {
-      const char* value = next();
-      if (value == nullptr || std::atoll(value) < 1) {
-        std::fprintf(stderr, "artemisc: --flight-bytes wants a positive integer\n");
-        return false;
-      }
-      args->flight_bytes = static_cast<std::size_t>(std::atoll(value));
-    } else if (flag == "--gap") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      const std::optional<SimDuration> parsed = ParseDuration(value);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "artemisc: bad duration '%s'\n", value);
-        return false;
-      }
-      args->detect_gap = *parsed;
-    } else if (flag == "--spec2") {
-      const char* value = next();
-      if (value == nullptr) {
-        return false;
-      }
-      args->spec2_path = value;
-    } else if (flag == "--swap-at") {
-      const char* value = next();
-      if (value == nullptr || !ParseDuration(value).has_value()) {
-        std::fprintf(stderr, "artemisc: --swap-at wants a duration like 10min\n");
-        return false;
-      }
-      args->swap_at = value;
-    } else if (flag == "--min-attempts") {
-      const char* value = next();
-      if (value == nullptr || std::atoi(value) < 1) {
-        std::fprintf(stderr, "artemisc: --min-attempts wants a positive integer\n");
-        return false;
-      }
-      args->min_attempts = static_cast<std::uint32_t>(std::atoi(value));
-    } else {
-      std::fprintf(stderr, "artemisc: unknown flag '%s'\n", flag.c_str());
-      return false;
-    }
-  }
+  out << text;
   return true;
 }
 
+// The app graph and the spec that monitors it: the file named by <spec> or
+// --spec, else the app's embedded spec (none for --app-file).
 struct DemoApp {
   AppGraph graph;
-  std::string default_spec;
+  std::string spec;
 };
 
-std::optional<DemoApp> MakeApp(const Args& args) {
+std::optional<DemoApp> LoadApp(const Args& args) {
   DemoApp app;
   if (!args.app_file.empty()) {
     const std::optional<std::string> source = ReadFile(args.app_file);
     if (!source.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.app_file.c_str());
       return std::nullopt;
     }
     StatusOr<AppDescription> parsed = ParseAppDescription(*source);
@@ -565,30 +280,47 @@ std::optional<DemoApp> MakeApp(const Args& args) {
       return std::nullopt;
     }
     app.graph = std::move(parsed.value().graph);
-    app.default_spec = "";  // Properties must come from --spec / the argument.
-    return app;
+  } else {
+    StatusOr<std::string> spec = sweep::DefaultSpecForApp(args.app);
+    if (!spec.ok()) {
+      std::fprintf(stderr, "artemisc: %s\n", spec.status().message().c_str());
+      return std::nullopt;
+    }
+    app.graph = sweep::BuildAppGraphByName(args.app);
+    app.spec = std::move(spec).value();
   }
-  const std::string& name = args.app;
-  if (name == "health") {
-    HealthApp health = BuildHealthApp();
-    app.graph = std::move(health.graph);
-    app.default_spec = HealthAppSpec();
-    return app;
+  if (!args.spec_path.empty()) {
+    std::optional<std::string> file = ReadFile(args.spec_path);
+    if (!file.has_value()) {
+      return std::nullopt;
+    }
+    app.spec = std::move(*file);
   }
-  if (name == "greenhouse") {
-    GreenhouseApp greenhouse = BuildGreenhouseApp();
-    app.graph = std::move(greenhouse.graph);
-    app.default_spec = GreenhouseSpec();
-    return app;
+  return app;
+}
+
+// The app's name in reports: the --app-file path or the --app name.
+const std::string& AppLabel(const Args& args) {
+  return args.app_file.empty() ? args.app : args.app_file;
+}
+
+std::vector<std::string> TaskNames(const AppGraph& graph) {
+  std::vector<std::string> names;
+  for (TaskId t = 0; t < graph.task_count(); ++t) {
+    names.push_back(graph.TaskName(t));
   }
-  if (name == "ar") {
-    ArApp ar = BuildArApp();
-    app.graph = std::move(ar.graph);
-    app.default_spec = ArAppSpec();
-    return app;
+  return names;
+}
+
+// `budget` uJ per on-period after `charge` of charging; 0 = always-on power.
+std::unique_ptr<Mcu> MakeMcu(EnergyUj budget, SimDuration charge) {
+  PlatformBuilder platform;
+  if (charge != 0) {
+    platform.WithFixedCharge(budget, charge);
+  } else {
+    platform.WithContinuousPower();
   }
-  std::fprintf(stderr, "artemisc: unknown app '%s' (health|greenhouse|ar)\n", name.c_str());
-  return std::nullopt;
+  return platform.Build();
 }
 
 StatusOr<SpecAst> ParseSpec(const Args& args, const std::string& source) {
@@ -598,45 +330,31 @@ StatusOr<SpecAst> ParseSpec(const Args& args, const std::string& source) {
   return SpecParser::Parse(source);
 }
 
-std::vector<std::string> SplitCommaList(const std::string& text);  // defined below
-
-// Deployment axes for the whole-system analyzer passes (ART009-ART014),
-// from the shared --charges/--budgets/--flight/--no-immortal flags.
+// Deployment axes for the whole-system analyzer passes (ART009-ART014).
 // Defaults: the single --budget value, continuous power, two-phase commit
-// on, flight recorder off. False on an unparseable charge schedule.
-bool FillAnalysisOptions(const Args& args, AnalysisOptions* options) {
-  options->policy = args.policy;
-  options->werror = args.werror;
-  options->budgets = {args.budget};
-  if (!args.sweep_budgets.empty()) {
-    options->budgets.clear();
-    for (const std::string& budget : SplitCommaList(args.sweep_budgets)) {
-      options->budgets.push_back(std::atof(budget.c_str()));
-    }
+// on, flight recorder off.
+AnalysisOptions AnalysisOptionsFor(const Args& args) {
+  AnalysisOptions options;
+  options.policy = args.policy;
+  options.werror = args.werror;
+  options.budgets = args.budgets.empty() ? std::vector<EnergyUj>{args.budget} : args.budgets;
+  if (!args.charges.empty()) {
+    options.charges = args.charges;
   }
-  if (!args.sweep_charges.empty()) {
-    options->charges.clear();
-    for (const std::string& schedule : SplitCommaList(args.sweep_charges)) {
-      StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
-      if (!charge.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
-        return false;
-      }
-      options->charges.push_back(charge.value());
-    }
-  }
-  options->two_phase_commit = args.immortal;
-  options->flight_enabled = !args.sweep_flight.empty() && args.sweep_flight != "off";
-  options->flight_bytes = args.flight_bytes;
-  return true;
+  options.two_phase_commit = !args.no_immortal;
+  options.flight_enabled = args.flight_level != flight::FlightLevel::kOff;
+  options.flight_bytes = args.flight_bytes;
+  return options;
 }
 
-int RunCheck(const Args& args, const std::string& source) {
-  auto app = MakeApp(args);
+// ---- commands ------------------------------------------------------------
+
+int RunCheck(const Args& args) {
+  const std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto parsed = ParseSpec(args, source);
+  auto parsed = ParseSpec(args, app->spec);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return kExitFindings;
@@ -677,11 +395,8 @@ int RunCheck(const Args& args, const std::string& source) {
       std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
       return kExitFindings;
     }
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
-    const DiagnosticEngine engine = AnalyzeMachines(machines.value(), app->graph, options);
+    const DiagnosticEngine engine =
+        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -697,22 +412,17 @@ int RunCheck(const Args& args, const std::string& source) {
   if (!args.spec2_path.empty()) {
     const std::optional<std::string> spec2 = ReadFile(args.spec2_path);
     if (!spec2.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(source, app->graph, 1);
+    StatusOr<MonitorImage> old_image = BuildMonitorImage(app->spec, app->graph, 1);
     StatusOr<MonitorImage> new_image = BuildMonitorImage(*spec2, app->graph, 2);
     if (!old_image.ok() || !new_image.ok()) {
       const Status& bad = !old_image.ok() ? old_image.status() : new_image.status();
       std::fprintf(stderr, "swap gate error: %s\n", bad.ToString().c_str());
       return kExitFindings;
     }
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
     const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, options);
+        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -728,8 +438,12 @@ int RunCheck(const Args& args, const std::string& source) {
   return hard_findings == 0 ? kExitClean : kExitFindings;
 }
 
-int RunPretty(const Args& args, const std::string& source) {
-  auto parsed = ParseSpec(args, source);
+int RunPretty(const Args& args) {
+  const std::optional<std::string> source = ReadFile(args.spec_path);
+  if (!source.has_value()) {
+    return kExitUsage;
+  }
+  auto parsed = ParseSpec(args, *source);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return kExitFindings;
@@ -738,12 +452,12 @@ int RunPretty(const Args& args, const std::string& source) {
   return kExitClean;
 }
 
-int RunCodegen(const Args& args, const std::string& source, bool dot) {
-  auto app = MakeApp(args);
+int RunCodegen(const Args& args, bool dot) {
+  const std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto parsed = ParseSpec(args, source);
+  auto parsed = ParseSpec(args, app->spec);
   if (!parsed.ok()) {
     std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
     return kExitFindings;
@@ -764,11 +478,8 @@ int RunCodegen(const Args& args, const std::string& source, bool dot) {
   bool analyzer_errors = false;
   DotAnnotations annotations;
   if (!args.no_analyze) {
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
-    const DiagnosticEngine engine = AnalyzeMachines(machines.value(), app->graph, options);
+    const DiagnosticEngine engine =
+        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
     std::fprintf(stderr, "%s", engine.RenderText(args.spec_path).c_str());
     analyzer_errors = engine.HasErrors();
     annotations = AnnotationsFromDiagnostics(engine.diagnostics());
@@ -784,7 +495,7 @@ int RunCodegen(const Args& args, const std::string& source, bool dot) {
     return kExitFindings;
   }
   CodegenOptions options;
-  options.immortal_macros = args.immortal;
+  options.immortal_macros = !args.no_immortal;
   std::printf("%s", CCodeGenerator(options).Generate(machines.value(), app->graph).c_str());
   return kExitClean;
 }
@@ -793,18 +504,17 @@ int RunCodegen(const Args& args, const std::string& source, bool dot) {
 // measurement methodology ("According to our measurements, the accel task
 // is the highest power-consuming among other tasks").
 int RunProfile(const Args& args) {
-  auto app = MakeApp(args);
+  std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
-    return 2;
+    return kExitUsage;
   }
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
   ArtemisConfig config;
   config.backend = args.backend;
-  auto runtime =
-      ArtemisRuntime::Create(&app->graph, app->default_spec, mcu.get(), config);
+  auto runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return 1;
+    return kExitFindings;
   }
   const KernelRunResult result = runtime.value()->Run();
   const std::vector<TaskProfile>& profiles = runtime.value()->kernel().profiles();
@@ -826,30 +536,15 @@ int RunProfile(const Args& args) {
                 static_cast<unsigned long long>(p.skips), FormatDuration(p.busy_time).c_str(),
                 FormatEnergy(p.energy).c_str());
   }
-  return result.completed ? 0 : 1;
+  return result.completed ? kExitClean : kExitFindings;
 }
 
 int RunSimulate(const Args& args) {
-  auto app = MakeApp(args);
+  std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
-    return 2;
+    return kExitUsage;
   }
-  std::string source = app->default_spec;
-  if (!args.spec_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec_path);
-    if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-      return 2;
-    }
-    source = *file;
-  }
-  PlatformBuilder platform;
-  if (args.charge != 0) {
-    platform.WithFixedCharge(args.budget, args.charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
+  auto mcu = MakeMcu(args.budget, args.charge);
 
   // The timeline is rendered from the kernel's bus events, so they are
   // only collected when --trace asks for them.
@@ -867,17 +562,17 @@ int RunSimulate(const Args& args) {
     config.backend = args.backend;
     config.kernel.max_wall_time = 12 * kHour;
     config.kernel.observer = observer;
-    auto runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
+    auto runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
     if (!runtime.ok()) {
       std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-      return 1;
+      return kExitFindings;
     }
     result = runtime.value()->Run();
-  } else if (args.system == "mayfly") {
-    auto parsed = ParseSpec(args, source);
+  } else {
+    auto parsed = ParseSpec(args, app->spec);
     if (!parsed.ok()) {
       std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
-      return 1;
+      return kExitFindings;
     }
     KernelOptions options;
     options.max_wall_time = 12 * kHour;
@@ -885,30 +580,22 @@ int RunSimulate(const Args& args) {
     auto runtime = MayflyRuntime::Create(&app->graph, parsed.value(), mcu.get(), options);
     if (!runtime.ok()) {
       std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-      return 1;
+      return kExitFindings;
     }
     result = runtime.value()->Run();
-  } else {
-    std::fprintf(stderr, "artemisc: unknown system '%s'\n", args.system.c_str());
-    return 2;
   }
 
   if (args.trace) {
-    std::vector<std::string> names;
-    for (TaskId t = 0; t < app->graph.task_count(); ++t) {
-      names.push_back(app->graph.TaskName(t));
-    }
-    std::printf("%s", obs::RenderTimeline(events.events(), names).c_str());
+    std::printf("%s", obs::RenderTimeline(events.events(), TaskNames(app->graph)).c_str());
   }
   std::printf("system=%s app=%s completed=%s wall=%s reboots=%llu energy=%s\n",
-              args.system.c_str(),
-              (args.app_file.empty() ? args.app : args.app_file).c_str(),
+              args.system.c_str(), AppLabel(args).c_str(),
               result.completed ? "yes" : (result.timed_out ? "NO(non-termination)" : "NO"),
               FormatDuration(result.finished_at).c_str(),
               static_cast<unsigned long long>(result.stats.reboots),
               FormatEnergy(result.stats.TotalEnergy()).c_str());
   std::printf("%s\n", FormatOverheadRow("overheads:", BreakdownFromStats(result.stats)).c_str());
-  return result.completed ? 0 : 1;
+  return result.completed ? kExitClean : kExitFindings;
 }
 
 // Runs the app under the observability bus and exports the event stream.
@@ -916,43 +603,12 @@ int RunSimulate(const Args& args) {
 // same arguments are byte-identical — the property `trace diff` and the
 // golden-trace CI gate build on.
 int RunTrace(const Args& args) {
-  auto app = MakeApp(args);
+  std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
     return kExitUsage;
   }
-  std::string source = app->default_spec;
-  if (!args.spec_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec_path);
-    if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-      return kExitUsage;
-    }
-    source = *file;
-  }
-  // "--schedule Nmin" follows the canonical charge-bin convention used by
-  // the benches: the named period minus a 1 s boot margin of stored charge.
-  SimDuration charge = 0;
-  if (args.schedule != "continuous") {
-    const std::optional<SimDuration> period = ParseDuration(args.schedule);
-    if (!period.has_value() || *period <= 1 * kSecond) {
-      std::fprintf(stderr, "artemisc: bad schedule '%s' (a duration > 1s, or 'continuous')\n",
-                   args.schedule.c_str());
-      return kExitUsage;
-    }
-    charge = *period - 1 * kSecond;
-  }
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(args.budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
-
-  std::vector<std::string> names;
-  for (TaskId t = 0; t < app->graph.task_count(); ++t) {
-    names.push_back(app->graph.TaskName(t));
-  }
+  auto mcu = MakeMcu(args.budget, args.schedule_charge);
+  const std::vector<std::string> names = TaskNames(app->graph);
 
   std::ostringstream trace_out;
   obs::EventBus bus;
@@ -961,8 +617,8 @@ int RunTrace(const Args& args) {
   ObsStatsAggregator stats;
   if (args.format == "jsonl") {
     obs::JsonlOptions options;
-    options.app = args.app_file.empty() ? args.app : args.app_file;
-    options.power = charge != 0 ? "fixed-charge" : "always-on";
+    options.app = AppLabel(args);
+    options.power = args.schedule_charge != 0 ? "fixed-charge" : "always-on";
     options.schedule = args.schedule;
     options.backend = MonitorBackendName(args.backend);
     options.task_names = names;
@@ -971,19 +627,15 @@ int RunTrace(const Args& args) {
   } else if (args.format == "perfetto") {
     perfetto = std::make_unique<obs::PerfettoSink>(trace_out, names);
     bus.AddSink(perfetto.get());
-  } else if (args.format == "stats") {
-    bus.AddSink(&stats);
   } else {
-    std::fprintf(stderr, "artemisc: unknown format '%s' (jsonl|perfetto|stats)\n",
-                 args.format.c_str());
-    return kExitUsage;
+    bus.AddSink(&stats);
   }
 
   ArtemisConfig config;
   config.backend = args.backend;
   config.kernel.max_wall_time = 12 * kHour;
   config.observer = &bus;
-  auto runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
+  auto runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
   if (!runtime.ok()) {
     std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
     return kExitFindings;
@@ -993,21 +645,12 @@ int RunTrace(const Args& args) {
   if (args.format == "stats") {
     trace_out << stats.Render();
   }
-
-  const std::string rendered = trace_out.str();
-  if (!args.out_path.empty()) {
-    std::ofstream out(args.out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
-  } else {
-    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+  if (!WriteOutput(args, trace_out.str())) {
+    return kExitUsage;
   }
   std::fprintf(stderr, "trace: app=%s schedule=%s format=%s completed=%s reboots=%llu\n",
-               (args.app_file.empty() ? args.app : args.app_file).c_str(),
-               args.schedule.c_str(), args.format.c_str(), result.completed ? "yes" : "no",
+               AppLabel(args).c_str(), args.schedule.c_str(), args.format.c_str(),
+               result.completed ? "yes" : "no",
                static_cast<unsigned long long>(result.stats.reboots));
   return result.completed ? kExitClean : kExitFindings;
 }
@@ -1015,12 +658,10 @@ int RunTrace(const Args& args) {
 int RunTraceDiff(const Args& args) {
   const std::optional<std::string> left = ReadFile(args.diff_left);
   if (!left.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.diff_left.c_str());
     return kExitUsage;
   }
   const std::optional<std::string> right = ReadFile(args.diff_right);
   if (!right.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.diff_right.c_str());
     return kExitUsage;
   }
   const obs::TraceDiffResult result = obs::DiffJsonlTraces(*left, *right);
@@ -1034,24 +675,8 @@ int RunTraceDiff(const Args& args) {
 // is the instrumented run — the obs bus rides along for free and gives
 // `audit` its ground truth.
 int RunForensics(const Args& args) {
-  auto app = MakeApp(args);
+  std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
-    return kExitUsage;
-  }
-  std::string source = app->default_spec;
-  if (!args.spec_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec_path);
-    if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
-      return kExitUsage;
-    }
-    source = *file;
-  }
-  flight::FlightLevel level = flight::FlightLevel::kFull;
-  if (!flight::ParseFlightLevel(args.flight_level, &level) ||
-      level == flight::FlightLevel::kOff) {
-    std::fprintf(stderr, "artemisc: bad --level '%s' (verdicts|full)\n",
-                 args.flight_level.c_str());
     return kExitUsage;
   }
   // --spec2: deliver a hot-swap replacement image mid-run (src/swap,
@@ -1060,32 +685,15 @@ int RunForensics(const Args& args) {
   // cross-validates records from both images against one obs-bus capture.
   std::string source2;
   if (!args.spec2_path.empty()) {
-    const std::optional<std::string> file = ReadFile(args.spec2_path);
+    std::optional<std::string> file = ReadFile(args.spec2_path);
     if (!file.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
-    source2 = *file;
+    source2 = std::move(*file);
   }
-  SimDuration charge = 0;
-  if (args.schedule != "continuous") {
-    const std::optional<SimDuration> period = ParseDuration(args.schedule);
-    if (!period.has_value() || *period <= 1 * kSecond) {
-      std::fprintf(stderr, "artemisc: bad schedule '%s' (a duration > 1s, or 'continuous')\n",
-                   args.schedule.c_str());
-      return kExitUsage;
-    }
-    charge = *period - 1 * kSecond;
-  }
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(args.budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
+  auto mcu = MakeMcu(args.budget, args.schedule_charge);
 
-  flight::FlightRecorder recorder(args.flight_bytes, level);
+  flight::FlightRecorder recorder(args.flight_bytes, args.flight_level);
   if (const Status attached = mcu->AttachFlightRecorder(&recorder); !attached.ok()) {
     std::fprintf(stderr, "artemisc: %s\n", attached.ToString().c_str());
     return kExitUsage;
@@ -1104,9 +712,9 @@ int RunForensics(const Args& args) {
   StatusOr<std::unique_ptr<ArtemisRuntime>> runtime = Status::Internal("unset");
   std::optional<HotSwapController> controller;
   if (args.spec2_path.empty()) {
-    runtime = ArtemisRuntime::Create(&app->graph, source, mcu.get(), config);
+    runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
   } else {
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(source, app->graph, 1);
+    StatusOr<MonitorImage> old_image = BuildMonitorImage(app->spec, app->graph, 1);
     if (!old_image.ok()) {
       std::fprintf(stderr, "spec error: %s\n", old_image.status().ToString().c_str());
       return kExitFindings;
@@ -1122,11 +730,8 @@ int RunForensics(const Args& args) {
       controller.emplace(&runtime.value()->monitors(), std::move(old_image).value(),
                          &app->graph);
       controller->set_flight(&recorder);
-      SimDuration swap_at = 0;
-      if (!args.swap_at.empty()) {
-        swap_at = *ParseDuration(args.swap_at);  // Validated in ParseArgs.
-      }
-      if (const Status queued = controller->RequestSwap(std::move(new_image).value(), swap_at);
+      if (const Status queued =
+              controller->RequestSwap(std::move(new_image).value(), args.swap_at.value_or(0));
           !queued.ok()) {
         std::fprintf(stderr, "artemisc: %s\n", queued.ToString().c_str());
         return kExitFindings;
@@ -1149,47 +754,37 @@ int RunForensics(const Args& args) {
   }
 
   flight::FlightMeta meta = flight::MetaFromRecorder(recorder);
-  meta.app = args.app_file.empty() ? args.app : args.app_file;
-  meta.power = charge != 0 ? "fixed-charge" : "always-on";
+  meta.app = AppLabel(args);
+  meta.power = args.schedule_charge != 0 ? "fixed-charge" : "always-on";
   meta.schedule = args.schedule;
   meta.backend = MonitorBackendName(args.backend);
-  for (TaskId t = 0; t < app->graph.task_count(); ++t) {
-    meta.task_names.push_back(app->graph.TaskName(t));
-  }
+  meta.task_names = TaskNames(app->graph);
 
   std::string rendered;
   bool clean = true;
-  if (args.forensics_mode == "dump") {
+  if (args.mode == "dump") {
     rendered = flight::RenderDumpJsonl(records.value(), meta);
-  } else if (args.forensics_mode == "timeline") {
+  } else if (args.mode == "timeline") {
     rendered = flight::RenderTimeline(records.value(), meta);
-  } else if (args.forensics_mode == "audit") {
+  } else if (args.mode == "audit") {
     const flight::AuditReport report = flight::Audit(records.value(), capture.events());
     rendered = flight::RenderAudit(report, meta);
     clean = report.ok();
   } else {
     flight::DetectOptions options;
     options.min_attempts = args.min_attempts;
-    options.max_gap = args.detect_gap;
+    options.max_gap = args.gap;
     const std::vector<flight::Finding> findings = flight::Detect(records.value(), options);
     rendered = flight::RenderDetect(findings, meta);
     clean = findings.empty();
   }
-
-  if (!args.out_path.empty()) {
-    std::ofstream out(args.out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
-  } else {
-    std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+  if (!WriteOutput(args, rendered)) {
+    return kExitUsage;
   }
   std::fprintf(stderr,
                "forensics: app=%s schedule=%s level=%s completed=%s reboots=%llu "
                "sealed=%llu decoded=%zu\n",
-               meta.app.c_str(), args.schedule.c_str(), flight::FlightLevelName(level),
+               meta.app.c_str(), args.schedule.c_str(), flight::FlightLevelName(args.flight_level),
                result.completed ? "yes" : "no",
                static_cast<unsigned long long>(result.stats.reboots),
                static_cast<unsigned long long>(recorder.stats().records_sealed),
@@ -1215,21 +810,15 @@ int RunForensics(const Args& args) {
 // --swap-at. The ART015/ART016 gate runs first and refuses un-migratable
 // images unless --no-analyze.
 int RunSwapCmd(const Args& args) {
-  auto app = MakeApp(args);
+  std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
-    return kExitUsage;
-  }
-  const std::optional<std::string> source1 = ReadFile(args.spec_path);
-  if (!source1.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
     return kExitUsage;
   }
   const std::optional<std::string> source2 = ReadFile(args.spec2_path);
   if (!source2.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
     return kExitUsage;
   }
-  StatusOr<MonitorImage> old_image = BuildMonitorImage(*source1, app->graph, 1);
+  StatusOr<MonitorImage> old_image = BuildMonitorImage(app->spec, app->graph, 1);
   if (!old_image.ok()) {
     std::fprintf(stderr, "spec-v1 error: %s\n", old_image.status().ToString().c_str());
     return kExitFindings;
@@ -1242,12 +831,8 @@ int RunSwapCmd(const Args& args) {
 
   FILE* chatter = args.json ? stderr : stdout;
   if (!args.no_analyze) {
-    AnalysisOptions options;
-    if (!FillAnalysisOptions(args, &options)) {
-      return kExitUsage;
-    }
     const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, options);
+        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -1263,41 +848,14 @@ int RunSwapCmd(const Args& args) {
     }
   }
 
-  SimDuration charge = 0;
-  if (args.schedule != "continuous") {
-    const std::optional<SimDuration> period = ParseDuration(args.schedule);
-    if (!period.has_value() || *period <= 1 * kSecond) {
-      std::fprintf(stderr, "artemisc: bad schedule '%s' (a duration > 1s, or 'continuous')\n",
-                   args.schedule.c_str());
-      return kExitUsage;
-    }
-    charge = *period - 1 * kSecond;
-  }
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(args.budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  auto mcu = platform.Build();
-
+  auto mcu = MakeMcu(args.budget, args.schedule_charge);
   std::unique_ptr<flight::FlightRecorder> recorder;
-  if (!args.sweep_flight.empty() && args.sweep_flight != "off") {
-    flight::FlightLevel level = flight::FlightLevel::kOff;
-    if (!flight::ParseFlightLevel(args.sweep_flight, &level)) {
-      std::fprintf(stderr, "artemisc: bad --flight '%s' (off|verdicts|full)\n",
-                   args.sweep_flight.c_str());
-      return kExitUsage;
-    }
-    recorder = std::make_unique<flight::FlightRecorder>(args.flight_bytes, level);
+  if (args.flight_level != flight::FlightLevel::kOff) {
+    recorder = std::make_unique<flight::FlightRecorder>(args.flight_bytes, args.flight_level);
     if (const Status attached = mcu->AttachFlightRecorder(recorder.get()); !attached.ok()) {
       std::fprintf(stderr, "artemisc: %s\n", attached.ToString().c_str());
       return kExitUsage;
     }
-  }
-  SimDuration swap_at = 0;
-  if (!args.swap_at.empty()) {
-    swap_at = *ParseDuration(args.swap_at);  // Validated in ParseArgs.
   }
 
   ArtemisConfig config;
@@ -1315,7 +873,8 @@ int RunSwapCmd(const Args& args) {
   HotSwapController controller(&runtime.value()->monitors(), std::move(old_image).value(),
                                &app->graph);
   controller.set_flight(recorder.get());
-  if (const Status queued = controller.RequestSwap(std::move(new_image).value(), swap_at);
+  if (const Status queued =
+          controller.RequestSwap(std::move(new_image).value(), args.swap_at.value_or(0));
       !queued.ok()) {
     std::fprintf(stderr, "artemisc: %s\n", queued.ToString().c_str());
     return kExitFindings;
@@ -1335,7 +894,7 @@ int RunSwapCmd(const Args& args) {
                static_cast<unsigned long long>(stats.bytes_staged),
                static_cast<unsigned long long>(stats.fallback_commits));
   std::fprintf(chatter, "app=%s completed=%s wall=%s reboots=%llu energy=%s\n",
-               (args.app_file.empty() ? args.app : args.app_file).c_str(),
+               AppLabel(args).c_str(),
                result.completed ? "yes" : (result.timed_out ? "NO(non-termination)" : "NO"),
                FormatDuration(result.finished_at).c_str(),
                static_cast<unsigned long long>(result.stats.reboots),
@@ -1343,36 +902,20 @@ int RunSwapCmd(const Args& args) {
   return result.completed && stats.swaps_applied > 0 ? kExitClean : kExitFindings;
 }
 
-std::vector<std::string> SplitCommaList(const std::string& text) {
-  std::vector<std::string> out;
-  std::string current;
-  for (const char c : text) {
-    if (c == ',') {
-      out.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  out.push_back(current);
-  return out;
-}
-
 int RunSweepCmd(const Args& args) {
   sweep::SweepSpec grid;
   if (!args.grid_path.empty()) {
     const std::optional<std::string> source = ReadFile(args.grid_path);
     if (!source.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.grid_path.c_str());
       return kExitUsage;
     }
     StatusOr<sweep::SweepSpec> parsed =
         sweep::ParseGridJson(*source, [](const std::string& path) -> StatusOr<std::string> {
-          const std::optional<std::string> text = ReadFile(path);
+          std::optional<std::string> text = ReadFile(path);
           if (!text.has_value()) {
             return Status::Invalid("sweep grid: cannot read spec file '" + path + "'");
           }
-          return *text;
+          return std::move(*text);
         });
     if (!parsed.ok()) {
       std::fprintf(stderr, "artemisc: %s\n", parsed.status().ToString().c_str());
@@ -1382,74 +925,53 @@ int RunSweepCmd(const Args& args) {
   }
 
   // Axis flags override the grid file (and the engine defaults).
-  if (args.app != "health" || args.grid_path.empty()) {
+  if (!args.app.empty()) {
     grid.app = args.app;
   }
   if (!args.spec_path.empty()) {
-    const std::optional<std::string> text = ReadFile(args.spec_path);
+    std::optional<std::string> text = ReadFile(args.spec_path);
     if (!text.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
       return kExitUsage;
     }
-    grid.specs = {{args.spec_path, *text}};
+    grid.specs = {{args.spec_path, std::move(*text)}};
   }
-  if (!args.sweep_systems.empty()) {
-    grid.systems = SplitCommaList(args.sweep_systems);
+  if (!args.systems.empty()) {
+    grid.systems = args.systems;
   }
-  if (!args.sweep_backends.empty()) {
-    grid.backends = SplitCommaList(args.sweep_backends);
+  if (!args.backends.empty()) {
+    grid.backends = args.backends;
   }
-  if (!args.sweep_timekeepers.empty()) {
-    grid.timekeepers = SplitCommaList(args.sweep_timekeepers);
+  if (!args.timekeepers.empty()) {
+    grid.timekeepers = args.timekeepers;
   }
-  if (!args.sweep_charges.empty()) {
-    grid.charges.clear();
-    for (const std::string& schedule : SplitCommaList(args.sweep_charges)) {
-      StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
-      if (!charge.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
-        return kExitUsage;
-      }
-      grid.charges.push_back(charge.value());
-    }
+  if (!args.charges.empty()) {
+    grid.charges = args.charges;
   }
-  if (!args.sweep_budgets.empty()) {
-    grid.budgets.clear();
-    for (const std::string& budget : SplitCommaList(args.sweep_budgets)) {
-      grid.budgets.push_back(std::atof(budget.c_str()));
-    }
+  if (!args.budgets.empty()) {
+    grid.budgets = args.budgets;
   }
-  if (!args.sweep_seeds.empty()) {
-    grid.seeds.clear();
-    for (const std::string& seed : SplitCommaList(args.sweep_seeds)) {
-      grid.seeds.push_back(static_cast<std::uint64_t>(std::atoll(seed.c_str())));
-    }
+  if (!args.seeds.empty()) {
+    grid.seeds = args.seeds;
   }
-  if (!args.sweep_max_wall.empty()) {
-    const std::optional<SimDuration> wall = ParseDuration(args.sweep_max_wall);
-    if (!wall.has_value()) {
-      std::fprintf(stderr, "artemisc: bad duration '%s'\n", args.sweep_max_wall.c_str());
-      return kExitUsage;
-    }
-    grid.max_wall = *wall;
+  if (args.max_wall.has_value()) {
+    grid.max_wall = *args.max_wall;
   }
-  if (args.sweep_stats) {
+  if (args.stats) {
     grid.collect_stats = true;
   }
-  if (!args.sweep_flight.empty()) {
-    grid.flight = args.sweep_flight;
+  if (!args.flight.empty()) {
+    grid.flight = args.flight;
     grid.flight_bytes = args.flight_bytes;
   }
   if (!args.spec2_path.empty()) {
-    const std::optional<std::string> text = ReadFile(args.spec2_path);
+    std::optional<std::string> text = ReadFile(args.spec2_path);
     if (!text.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec2_path.c_str());
       return kExitUsage;
     }
-    grid.spec2 = {args.spec2_path, *text};
+    grid.spec2 = {args.spec2_path, std::move(*text)};
   }
-  if (!args.swap_at.empty()) {
-    grid.swap_at = *ParseDuration(args.swap_at);  // Validated in ParseArgs.
+  if (args.swap_at.has_value()) {
+    grid.swap_at = *args.swap_at;
   }
   if (args.no_analyze) {
     grid.analyze = false;
@@ -1460,30 +982,11 @@ int RunSweepCmd(const Args& args) {
     std::fprintf(stderr, "artemisc: %s\n", outcome.status().ToString().c_str());
     return kExitUsage;
   }
-
-  std::string rendered;
-  if (args.format == "json") {
-    rendered = sweep::RenderJson(grid, outcome.value());
-  } else if (args.format == "csv") {
-    rendered = sweep::RenderCsv(outcome.value());
-  } else if (args.format == "table" || args.format == "jsonl") {
-    // "jsonl" is the Args default (for trace); sweep's default is the table.
-    rendered = sweep::RenderTable(outcome.value());
-  } else {
-    std::fprintf(stderr, "artemisc: unknown sweep format '%s' (json|csv|table)\n",
-                 args.format.c_str());
+  const std::string rendered = args.format == "json" ? sweep::RenderJson(grid, outcome.value())
+                               : args.format == "csv" ? sweep::RenderCsv(outcome.value())
+                                                      : sweep::RenderTable(outcome.value());
+  if (!WriteOutput(args, rendered)) {
     return kExitUsage;
-  }
-
-  if (args.out_path.empty()) {
-    std::fputs(rendered.c_str(), stdout);
-  } else {
-    std::ofstream out(args.out_path);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
   }
   // A point that failed setup is a finding, not a usage error: the sweep
   // itself executed and the row carries the diagnosis.
@@ -1491,147 +994,432 @@ int RunSweepCmd(const Args& args) {
 }
 
 int RunFleetCmd(const Args& args) {
-  if (!args.spec2_path.empty()) {
-    // Batch lanes share one compiled image; per-device hot swap is scalar
-    // work. The sweep engine carries the swap axis instead.
-    std::fprintf(stderr,
-                 "artemisc: fleet does not support --spec2; use `artemisc sweep --spec2` "
-                 "(docs/hotswap.md)\n");
-    return kExitUsage;
-  }
   fleet::FleetSpec spec;
   spec.app = args.app;
   if (!args.spec_path.empty()) {
-    const std::optional<std::string> text = ReadFile(args.spec_path);
+    std::optional<std::string> text = ReadFile(args.spec_path);
     if (!text.has_value()) {
-      std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
       return kExitUsage;
     }
-    spec.spec_text = *text;
+    spec.spec_text = std::move(*text);
     spec.spec_label = args.spec_path;
   }
-  // The fleet default backend is compiled (batch mode requires it); an
-  // explicit --backend still wins for scalar-mode comparisons.
-  if (args.backend_set) {
-    spec.backend = args.backend;
-  }
-  spec.monitor = args.fleet_monitor;
-  spec.devices = args.fleet_devices;
-  spec.shards = args.fleet_shards;
-  spec.seed = args.fleet_seed;
-  spec.tile = args.fleet_tile;
-  spec.collect_obs = args.sweep_stats;
+  spec.backend = args.backend;
+  spec.monitor = args.monitor;
+  spec.devices = args.devices;
+  spec.shards = args.shards;
+  spec.seed = args.seed;
+  spec.tile = args.tile;
+  spec.collect_obs = args.stats;
   // --stats in batch mode also profiles the dispatch-entry traffic (which
   // (state, kind, task) entries the fleet's events actually hit).
-  spec.collect_traffic = args.sweep_stats && spec.monitor == "batch";
-  if (!args.sweep_charges.empty()) {
-    spec.charges.clear();
-    for (const std::string& schedule : SplitCommaList(args.sweep_charges)) {
-      StatusOr<SimDuration> charge = sweep::ParseChargeSchedule(schedule);
-      if (!charge.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", charge.status().ToString().c_str());
-        return kExitUsage;
-      }
-      spec.charges.push_back(charge.value());
-    }
+  spec.collect_traffic = args.stats && spec.monitor == "batch";
+  if (!args.charges.empty()) {
+    spec.charges = args.charges;
   }
-  if (!args.sweep_budgets.empty()) {
-    spec.budgets.clear();
-    for (const std::string& budget : SplitCommaList(args.sweep_budgets)) {
-      spec.budgets.push_back(std::atof(budget.c_str()));
-    }
+  if (!args.budgets.empty()) {
+    spec.budgets = args.budgets;
   }
-  if (!args.fleet_minutes.empty()) {
-    // Horizon mode: every device loops its app until M simulated minutes.
+  if (args.horizon != 0) {
+    // Horizon mode (--minutes): every device loops its app until then.
     spec.iterations = 0;
-    spec.horizon = static_cast<SimDuration>(std::atoll(args.fleet_minutes.c_str())) * kMinute;
-  } else if (!args.fleet_iterations.empty()) {
-    spec.iterations = static_cast<std::uint64_t>(std::atoll(args.fleet_iterations.c_str()));
+    spec.horizon = args.horizon;
+  } else {
+    spec.iterations = args.iterations;
   }
-  if (args.no_analyze) {
-    spec.analyze = false;
-  }
+  spec.analyze = !args.no_analyze;
 
   StatusOr<fleet::FleetOutcome> outcome = fleet::RunFleet(spec);
   if (!outcome.ok()) {
     std::fprintf(stderr, "artemisc: %s\n", outcome.status().ToString().c_str());
     return kExitUsage;
   }
-
-  std::string rendered;
-  if (args.format == "json") {
-    rendered = fleet::RenderFleetJson(spec, outcome.value());
-  } else if (args.format == "table" || args.format == "jsonl") {
-    // "jsonl" is the Args default (for trace); fleet's default is the table.
-    rendered = fleet::RenderFleetTable(spec, outcome.value());
-  } else {
-    std::fprintf(stderr, "artemisc: unknown fleet format '%s' (json|table)\n",
-                 args.format.c_str());
+  const std::string rendered = args.format == "json"
+                                   ? fleet::RenderFleetJson(spec, outcome.value())
+                                   : fleet::RenderFleetTable(spec, outcome.value());
+  if (!WriteOutput(args, rendered)) {
     return kExitUsage;
-  }
-
-  if (args.out_path.empty()) {
-    std::fputs(rendered.c_str(), stdout);
-  } else {
-    std::ofstream out(args.out_path);
-    if (!out) {
-      std::fprintf(stderr, "artemisc: cannot write '%s'\n", args.out_path.c_str());
-      return kExitUsage;
-    }
-    out << rendered;
   }
   // A failing device is a finding, not a usage error: the fleet ran and the
   // aggregates carry the first failing device's diagnosis.
   return outcome.value().AllOk() ? kExitClean : kExitFindings;
 }
 
+// ---- the flag and command tables ---------------------------------------
+
+struct Flag {
+  const char* name;
+  // nullptr for a switch. A metavar of the form a|b|c lists the only values
+  // the flag accepts; they are checked before `parse` runs.
+  const char* metavar;
+  const char* fallback;  // default, parsed like a given value; nullptr = none
+  const char* help;
+  // Stores the value into the args (an empty value for a switch); false
+  // rejects it.
+  bool (*parse)(std::string_view value, Args& args);
+};
+
+const Flag kFlags[] = {
+    {"--app", "<name>", "health", "demo app: health, greenhouse or ar", SetText<&Args::app>},
+    {"--app-file", "<file>", nullptr, "app in the app description language (replaces --app)",
+     SetText<&Args::app_file>},
+    {"--spec", "<file>", nullptr, "property spec (default: the app's embedded spec)",
+     SetText<&Args::spec_path>},
+    {"--spec2", "<file>", nullptr, "replacement spec, hot-swapped over the installed one",
+     SetText<&Args::spec2_path>},
+    {"--mayfly-lang", nullptr, nullptr, "read specs in the Mayfly-style syntax",
+     SetSwitch<&Args::mayfly_lang>},
+    {"--analyze", nullptr, nullptr, "run the FSM IR static analyzer", SetSwitch<&Args::analyze>},
+    {"--no-analyze", nullptr, nullptr, "skip the static-analyzer gate",
+     SetSwitch<&Args::no_analyze>},
+    {"--json", nullptr, nullptr, "diagnostics as JSON on stdout, the summary on stderr",
+     SetSwitch<&Args::json>},
+    {"--Werror", nullptr, nullptr, "treat analyzer warnings as errors", SetSwitch<&Args::werror>},
+    {"--no-immortal", nullptr, nullptr, "no two-phase commit of monitor state",
+     SetSwitch<&Args::no_immortal>},
+    {"--policy", "severity|first-wins|last-wins", "severity", "verdict arbitration policy",
+     [](std::string_view v, Args& a) { return ParseArbitrationPolicy(v, &a.policy); }},
+    {"--system", "artemis|mayfly", "artemis", "runtime system", SetText<&Args::system>},
+    {"--backend", "builtin|interpreted|compiled", "builtin", "monitor backend",
+     [](std::string_view v, Args& a) { return ParseMonitorBackend(v, &a.backend); }},
+    {"--charge", "<duration>", nullptr, "charge time after each on-period (default: always on)",
+     SetDuration<&Args::charge>},
+    {"--budget", "<uJ>", "19500", "energy per on-period",
+     [](std::string_view v, Args& a) { return ParseBudget(v, &a.budget); }},
+    {"--schedule", "<schedule>", "6min", "continuous, or a charge period above 1s such as 6min",
+     [](std::string_view v, Args& a) {
+       a.schedule = v;
+       return ParseCharge(v, &a.schedule_charge);
+     }},
+    {"--charges", "<schedule>,...", nullptr, "charge-schedule axis, e.g. continuous,6min",
+     [](std::string_view v, Args& a) { return ParseList(v, ParseCharge, &a.charges); }},
+    {"--budgets", "<uJ>,...", nullptr, "energy-budget axis",
+     [](std::string_view v, Args& a) { return ParseList(v, ParseBudget, &a.budgets); }},
+    {"--systems", "<system>,...", nullptr, "system axis: artemis, mayfly",
+     [](std::string_view v, Args& a) { return ParseList(v, ParseText, &a.systems); }},
+    {"--backends", "<backend>,...", nullptr, "monitor-backend axis",
+     [](std::string_view v, Args& a) { return ParseList(v, ParseText, &a.backends); }},
+    {"--timekeepers", "<timekeeper>,...", nullptr, "timekeeper axis (docs/sweep.md)",
+     [](std::string_view v, Args& a) { return ParseList(v, ParseText, &a.timekeepers); }},
+    {"--seeds", "<n>,...", nullptr, "seed axis",
+     [](std::string_view v, Args& a) { return ParseList(v, ParseSeed, &a.seeds); }},
+    {"--max-wall", "<duration>", nullptr, "simulated-time limit per point",
+     SetDuration<&Args::max_wall>},
+    {"--trace", nullptr, nullptr, "print the execution timeline", SetSwitch<&Args::trace>},
+    {"--stats", nullptr, nullptr, "fold observability-bus statistics into the output",
+     SetSwitch<&Args::stats>},
+    {"--jobs", "<n>", "1", "worker threads", SetPositive<&Args::jobs>},
+    {"--flight", "off|verdicts|full", nullptr, "flight recorder level",
+     [](std::string_view v, Args& a) {
+       a.flight = v;
+       return flight::ParseFlightLevel(a.flight, &a.flight_level);
+     }},
+    {"--level", "verdicts|full", "full", "flight recorder level",
+     [](std::string_view v, Args& a) {
+       return flight::ParseFlightLevel(std::string(v), &a.flight_level);
+     }},
+    {"--flight-bytes", "<n>", "1024", "flight recorder ring capacity in bytes",
+     SetPositive<&Args::flight_bytes>},
+    {"--swap-at", "<duration>", nullptr, "earliest device time of the swap (default: at once)",
+     SetDuration<&Args::swap_at>},
+    {"--devices", "<n>", "1000", "device twins", SetPositive<&Args::devices>},
+    {"--shards", "<n>", "1", "shard workers", SetPositive<&Args::shards>},
+    {"--minutes", "<n>", nullptr, "run every device for <n> simulated minutes",
+     [](std::string_view v, Args& a) {
+       constexpr SimDuration kMaxMinutes = std::numeric_limits<SimDuration>::max() / kMinute;
+       SimDuration minutes = 0;
+       const bool ok = ParseNumber(v, SimDuration{1}, kMaxMinutes, &minutes);
+       a.horizon = minutes * kMinute;
+       return ok;
+     }},
+    {"--iterations", "<n>", "1", "passes over the app's paths per device",
+     SetPositive<&Args::iterations>},
+    {"--monitor", "scalar|batch", "batch", "in-loop monitors, or captured streams in batch",
+     SetText<&Args::monitor>},
+    {"--tile", "<n>", "256", "devices per batch-monitor tile", SetPositive<&Args::tile>},
+    {"--seed", "<n>", "1", "fleet seed",
+     [](std::string_view v, Args& a) { return ParseSeed(v, &a.seed); }},
+    {"--gap", "<duration>", "5min", "silence that detect reports as a gap",
+     SetDuration<&Args::gap>},
+    {"--min-attempts", "<n>", "3", "attempts that detect reports as no progress",
+     SetPositive<&Args::min_attempts>},
+    {"--format", "<format>", nullptr, "output format", SetText<&Args::format>},
+    {"--out", "<file>", nullptr, "write the output to <file> instead of stdout",
+     SetText<&Args::out_path>},
+};
+
+// A positional operand. A name of the form a|b|c lists the accepted values.
+struct Operand {
+  const char* name;
+  std::string Args::*field;
+  bool optional = false;
+};
+
+// A command's own metavar (nullptr = the flag's) and default for one flag.
+struct FlagOverride {
+  const char* flag;
+  const char* metavar;
+  const char* fallback;
+};
+
+struct Command {
+  const char* name;
+  const char* summary;
+  std::vector<Operand> operands;
+  const char* flags;  // names from kFlags, space-separated, in help order
+  int (*run)(const Args& args);
+  std::vector<FlagOverride> overrides = {};
+};
+
+constexpr char kCodegenFlags[] =
+    "--app --app-file --mayfly-lang --no-analyze --no-immortal --Werror --policy --budget "
+    "--budgets --charges --flight --flight-bytes";
+
+const Command kCommands[] = {
+    {"check", "validate a spec; --analyze adds the static analyzer",
+     {{"spec", &Args::spec_path}},
+     "--app --app-file --mayfly-lang --analyze --json --Werror --policy --budget --budgets "
+     "--charges --no-immortal --flight --flight-bytes --spec2",
+     RunCheck},
+    {"pretty", "print a spec in canonical form",
+     {{"spec", &Args::spec_path}},
+     "--mayfly-lang",
+     RunPretty},
+    {"codegen", "generate C monitors, gated by the analyzer",
+     {{"spec", &Args::spec_path}},
+     kCodegenFlags,
+     [](const Args& args) { return RunCodegen(args, /*dot=*/false); }},
+    {"dot", "render the state machines as Graphviz",
+     {{"spec", &Args::spec_path}},
+     kCodegenFlags,
+     [](const Args& args) { return RunCodegen(args, /*dot=*/true); }},
+    {"simulate", "run the app on the simulated platform",
+     {},
+     "--app --app-file --spec --mayfly-lang --system --backend --charge --budget --trace",
+     RunSimulate},
+    {"profile", "per-task energy and time on continuous power",
+     {},
+     "--app --app-file --backend",
+     RunProfile},
+    {"trace", "export the observability-bus event stream",
+     {{"spec", &Args::spec_path, true}},
+     "--app --app-file --schedule --budget --backend --format --out",
+     RunTrace,
+     {{"--format", "jsonl|perfetto|stats", "jsonl"}}},
+    {"trace diff", "compare two JSONL traces line by line",
+     {{"a.jsonl", &Args::diff_left}, {"b.jsonl", &Args::diff_right}},
+     "",
+     RunTraceDiff},
+    {"sweep", "run a grid of independent simulations",
+     {{"grid.json", &Args::grid_path, true}},
+     "--app --spec --systems --charges --budgets --backends --timekeepers --seeds --max-wall "
+     "--stats --jobs --flight --flight-bytes --spec2 --swap-at --no-analyze --format --out",
+     RunSweepCmd,
+     {{"--app", nullptr, nullptr}, {"--format", "json|csv|table", "table"}}},
+    {"fleet", "run N device twins on the sharded fleet engine",
+     {},
+     "--app --spec --devices --shards --minutes --iterations --monitor --backend --charges "
+     "--budgets --seed --tile --stats --no-analyze --format --out",
+     RunFleetCmd,
+     {{"--backend", nullptr, "compiled"}, {"--format", "json|table", "table"}}},
+    {"forensics", "run with the flight recorder, then decode the ring",
+     {{"dump|timeline|audit|detect", &Args::mode}},
+     "--app --app-file --spec --schedule --budget --backend --level --flight-bytes --spec2 "
+     "--swap-at --gap --min-attempts --out",
+     RunForensics},
+    {"swap", "hot-swap <spec-v2> over <spec-v1> on a running device",
+     {{"spec-v1", &Args::spec_path}, {"spec-v2", &Args::spec2_path}},
+     "--app --app-file --swap-at --schedule --budget --flight --flight-bytes --no-analyze "
+     "--json --Werror --policy --budgets --charges --no-immortal",
+     RunSwapCmd},
+};
+
+// ---- parsing and usage, both driven by the tables ------------------------
+
+// A flag as one command uses it: the command's override applied.
+struct CommandFlag {
+  const Flag* flag;
+  const char* metavar;
+  const char* fallback;
+};
+
+std::vector<CommandFlag> FlagsOf(const Command& command) {
+  std::vector<CommandFlag> out;
+  std::istringstream names(command.flags);
+  for (std::string name; names >> name;) {
+    const Flag* flag = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                    [&name](const Flag& f) { return name == f.name; });
+    if (flag == std::end(kFlags)) {
+      std::fprintf(stderr, "artemisc: '%s' lists the undefined flag '%s'\n", command.name,
+                   name.c_str());
+      std::abort();
+    }
+    CommandFlag use{flag, flag->metavar, flag->fallback};
+    for (const FlagOverride& override : command.overrides) {
+      if (name == override.flag) {
+        if (override.metavar != nullptr) {
+          use.metavar = override.metavar;
+        }
+        use.fallback = override.fallback;
+      }
+    }
+    out.push_back(use);
+  }
+  return out;
+}
+
+// A metavar or operand name of the form a|b|c accepts only those values;
+// any other accepts every value.
+bool Accepts(std::string_view choices, std::string_view value) {
+  if (choices.find('|') == std::string_view::npos) {
+    return true;
+  }
+  while (true) {
+    const std::size_t bar = std::min(choices.find('|'), choices.size());
+    if (choices.substr(0, bar) == value) {
+      return true;
+    }
+    if (bar == choices.size()) {
+      return false;
+    }
+    choices.remove_prefix(bar + 1);
+  }
+}
+
+// The command's operands, each with a leading space.
+std::string Synopsis(const Command& command) {
+  std::string out;
+  for (const Operand& operand : command.operands) {
+    out += operand.optional ? " [<" : " <";
+    out += operand.name;
+    out += operand.optional ? ">]" : ">";
+  }
+  return out;
+}
+
+constexpr char kExitCodes[] =
+    "exit codes: 0 = clean, 1 = findings or failures, 2 = usage/IO error\n";
+
+void PrintUsage(FILE* out) {
+  std::fprintf(out, "usage: artemisc <command> [operands] [flags]\ncommands:\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "  %-10s %-29s  %s\n", command.name, Synopsis(command).c_str(),
+                 command.summary);
+  }
+  std::fprintf(out, "'artemisc <command> --help' lists a command's flags\n%s", kExitCodes);
+}
+
+void PrintHelp(FILE* out, const Command& command) {
+  std::fprintf(out, "usage: artemisc %s%s [flags]\n%s\nflags:\n", command.name,
+               Synopsis(command).c_str(), command.summary);
+  for (const CommandFlag& use : FlagsOf(command)) {
+    std::string spelled = use.flag->name;
+    if (use.metavar != nullptr) {
+      spelled += std::string(" ") + use.metavar;
+    }
+    const std::string fallback =
+        use.fallback != nullptr ? std::string(" (default ") + use.fallback + ")" : "";
+    std::fprintf(out, "  %-38s  %s%s\n", spelled.c_str(), use.flag->help, fallback.c_str());
+  }
+  std::fprintf(out, "  %-38s  %s\n%s", "--help", "print this help", kExitCodes);
+}
+
+bool SetFlag(const CommandFlag& use, std::string_view value, Args* args) {
+  if (Accepts(use.metavar, value) && use.flag->parse(value, *args)) {
+    return true;
+  }
+  std::fprintf(stderr, "artemisc: bad value '%s' for %s %s (%s)\n", std::string(value).c_str(),
+               use.flag->name, use.metavar, use.flag->help);
+  return false;
+}
+
+// Fills `args` from the command's defaults, then from `tokens`. False,
+// after saying why, on a flag the command does not take, a bad or missing
+// value, or a missing or surplus operand.
+bool ParseArgs(const Command& command, const std::vector<std::string_view>& tokens,
+               Args* args) {
+  const std::vector<CommandFlag> flags = FlagsOf(command);
+  for (const CommandFlag& use : flags) {
+    if (use.fallback != nullptr && !SetFlag(use, use.fallback, args)) {
+      return false;
+    }
+  }
+  std::size_t operand = 0;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string token(tokens[i]);
+    if (token.empty() || token[0] != '-') {
+      if (operand == command.operands.size()) {
+        std::fprintf(stderr, "artemisc: unexpected operand '%s'\n", token.c_str());
+        return false;
+      }
+      const Operand& slot = command.operands[operand++];
+      if (!Accepts(slot.name, token)) {
+        std::fprintf(stderr, "artemisc: bad operand '%s' (%s)\n", token.c_str(), slot.name);
+        return false;
+      }
+      args->*slot.field = token;
+      continue;
+    }
+    const auto use = std::find_if(flags.begin(), flags.end(), [&token](const CommandFlag& f) {
+      return token == f.flag->name;
+    });
+    if (use == flags.end()) {
+      std::fprintf(stderr, "artemisc: %s takes no flag '%s'\n", command.name, token.c_str());
+      return false;
+    }
+    if (use->metavar == nullptr) {
+      use->flag->parse({}, *args);
+    } else if (i + 1 == tokens.size()) {
+      std::fprintf(stderr, "artemisc: %s wants a value %s\n", token.c_str(), use->metavar);
+      return false;
+    } else if (!SetFlag(*use, tokens[++i], args)) {
+      return false;
+    }
+  }
+  if (operand < command.operands.size() && !command.operands[operand].optional) {
+    std::fprintf(stderr, "artemisc: %s wants <%s>\n", command.name,
+                 command.operands[operand].name);
+    return false;
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    return Usage();
+  const std::vector<std::string_view> tokens(argv + 1, argv + argc);
+  if (tokens.empty() || tokens[0] == "--help") {
+    PrintUsage(tokens.empty() ? stderr : stdout);
+    return tokens.empty() ? kExitUsage : kExitClean;
   }
-  if (args.command == "simulate") {
-    return RunSimulate(args);
+  // The longest command name the leading tokens spell ("trace diff" over
+  // "trace").
+  const Command* command = nullptr;
+  std::size_t words = 0;
+  std::string spelled;
+  for (std::size_t n = 0; n < tokens.size(); ++n) {
+    spelled += (n == 0 ? "" : " ") + std::string(tokens[n]);
+    for (const Command& candidate : kCommands) {
+      if (spelled == candidate.name) {
+        command = &candidate;
+        words = n + 1;
+      }
+    }
   }
-  if (args.command == "sweep") {
-    return RunSweepCmd(args);
-  }
-  if (args.command == "fleet") {
-    return RunFleetCmd(args);
-  }
-  if (args.command == "profile") {
-    return RunProfile(args);
-  }
-  if (args.command == "trace") {
-    return RunTrace(args);
-  }
-  if (args.command == "trace-diff") {
-    return RunTraceDiff(args);
-  }
-  if (args.command == "forensics") {
-    return RunForensics(args);
-  }
-  if (args.command == "swap") {
-    return RunSwapCmd(args);
-  }
-  const std::optional<std::string> source = ReadFile(args.spec_path);
-  if (!source.has_value()) {
-    std::fprintf(stderr, "artemisc: cannot read '%s'\n", args.spec_path.c_str());
+  if (command == nullptr) {
+    std::fprintf(stderr, "artemisc: unknown command '%s'\n", std::string(tokens[0]).c_str());
+    PrintUsage(stderr);
     return kExitUsage;
   }
-  if (args.command == "check") {
-    return RunCheck(args, *source);
+  const std::vector<std::string_view> rest(tokens.begin() + words, tokens.end());
+  if (std::find(rest.begin(), rest.end(), "--help") != rest.end()) {
+    PrintHelp(stdout, *command);
+    return kExitClean;
   }
-  if (args.command == "pretty") {
-    return RunPretty(args, *source);
+  Args args;
+  if (!ParseArgs(*command, rest, &args)) {
+    PrintHelp(stderr, *command);
+    return kExitUsage;
   }
-  if (args.command == "codegen") {
-    return RunCodegen(args, *source, /*dot=*/false);
-  }
-  if (args.command == "dot") {
-    return RunCodegen(args, *source, /*dot=*/true);
-  }
-  return Usage();
+  return command->run(args);
 }
 
 }  // namespace

@@ -47,6 +47,9 @@
 #      tools/run_tsan_tests.sh (races in the sweep engine's thread pool,
 #      the compiled-spec cache, and the fleet engine's shard workers —
 #      fleet_test runs its sharded configurations under TSan here).
+#  11. CLI surface: for every command that `artemisc --help` lists,
+#      `artemisc <command> --help` must exit 0 and
+#      `artemisc <command> --no-such-flag` must exit 2.
 #
 # Usage: tools/ci.sh [release-build-dir [sanitize-build-dir [tsan-build-dir [simd-build-dir]]]]
 #        (defaults: build-ci, build-sanitize, build-tsan, build-simd)
@@ -58,15 +61,15 @@ sanitize_dir="${2:-${repo_root}/build-sanitize}"
 tsan_dir="${3:-${repo_root}/build-tsan}"
 simd_dir="${4:-${repo_root}/build-simd}"
 
-echo "== [1/10] Release build + tests =="
+echo "== [1/11] Release build + tests =="
 cmake -B "${release_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
 cmake --build "${release_dir}" -j "$(nproc)"
 ctest --test-dir "${release_dir}" --output-on-failure
 
-echo "== [2/10] Sanitized build + tests =="
+echo "== [2/11] Sanitized build + tests =="
 "${repo_root}/tools/run_sanitized_tests.sh" "${sanitize_dir}"
 
-echo "== [3/10] Static analysis over example specs =="
+echo "== [3/11] Static analysis over example specs =="
 artemisc="${release_dir}/tools/artemisc"
 
 check_clean() {
@@ -128,7 +131,7 @@ check_dirty "bad/swap_unknown_rule.prop (swap)" ART015 "${specs}/health.prop" \
 check_dirty "health.prop (swap, 1 uJ window)" ART016 "${specs}/health.prop" \
   --app health --spec2 "${specs}/health.prop" --budgets 1
 
-echo "== [4/10] Golden-trace regression =="
+echo "== [4/11] Golden-trace regression =="
 # The exported observability stream is deterministic: a fresh run of the
 # canonical scenario must reproduce the checked-in golden byte-for-byte.
 trace_tmp="$(mktemp /tmp/artemis_trace.XXXXXX.jsonl)"
@@ -182,7 +185,7 @@ if ! "${artemisc}" forensics audit --app health --spec "${specs}/health.prop" \
 fi
 echo "ok: flight log audits clean across the swap epoch"
 
-echo "== [5/10] Docs link check =="
+echo "== [5/11] Docs link check =="
 # Every relative .md link in the top-level docs and docs/ must resolve.
 # Matches [text](path.md) and [text](path.md#anchor); external http(s)
 # links are skipped.
@@ -208,7 +211,7 @@ if [[ "${link_errors}" -ne 0 ]]; then
 fi
 echo "ok: all relative .md links resolve"
 
-echo "== [6/10] Sweep determinism smoke =="
+echo "== [6/11] Sweep determinism smoke =="
 # The parallel sweep engine's exports must not depend on the worker count.
 sweep_j1="$(mktemp /tmp/artemis_sweep_j1.XXXXXX)"
 sweep_j4="$(mktemp /tmp/artemis_sweep_j4.XXXXXX)"
@@ -238,7 +241,7 @@ if [[ "${rc}" -ne 2 ]]; then
 fi
 echo "ok: infeasible sweep deployment refused with exit 2"
 
-echo "== [7/10] Fleet determinism smoke =="
+echo "== [7/11] Fleet determinism smoke =="
 # The sharded fleet engine's export must not depend on the shard count.
 fleet_s1="$(mktemp /tmp/artemis_fleet_s1.XXXXXX.json)"
 fleet_s4="$(mktemp /tmp/artemis_fleet_s4.XXXXXX.json)"
@@ -303,7 +306,7 @@ if [[ "${rc}" -ne 2 ]]; then
 fi
 echo "ok: infeasible fleet deployment refused with exit 2"
 
-echo "== [8/10] SIMD parity gate =="
+echo "== [8/11] SIMD parity gate =="
 # Same sources, explicit SSE2/NEON batch kernels: the full tier-1 suite
 # must pass (the batch-VM differential fuzz in compiled_monitor_test runs
 # per-class and lane-list parity under SIMD here, and hotswap_test re-runs
@@ -329,7 +332,7 @@ if ! diff -q "${fleet_portable}" "${fleet_simd}" > /dev/null; then
 fi
 echo "ok: fleet JSON is byte-identical between SIMD and portable builds"
 
-echo "== [9/10] clang-tidy static analysis =="
+echo "== [9/11] clang-tidy static analysis =="
 if command -v clang-tidy > /dev/null 2>&1; then
   # Reuse the release build's compile commands; .clang-tidy at the repo
   # root scopes the checks (bugprone-*, performance-*, concurrency-*).
@@ -350,7 +353,32 @@ else
   echo "skip: clang-tidy not installed (stage runs where the toolchain provides it)"
 fi
 
-echo "== [10/10] ThreadSanitizer build + tests =="
+echo "== [10/11] ThreadSanitizer build + tests =="
 "${repo_root}/tools/run_tsan_tests.sh" "${tsan_dir}"
+
+echo "== [11/11] CLI surface =="
+# Every command's flags and usage come from one table in tools/artemisc.cc:
+# each listed command must print its generated help and refuse a flag it
+# does not take with the usage exit code.
+cli_commands=0
+while IFS= read -r command; do
+  # ${command} stays unquoted: "trace diff" is a two-word command.
+  if ! "${artemisc}" ${command} --help > /dev/null; then
+    echo "CI FAIL: artemisc ${command} --help should exit 0" >&2
+    exit 1
+  fi
+  rc=0
+  "${artemisc}" ${command} --no-such-flag > /dev/null 2>&1 || rc=$?
+  if [[ "${rc}" -ne 2 ]]; then
+    echo "CI FAIL: artemisc ${command} --no-such-flag should exit 2 (got ${rc})" >&2
+    exit 1
+  fi
+  cli_commands=$((cli_commands + 1))
+done < <("${artemisc}" --help | awk -F'  +' '/^  [a-z]/ {print $2}')
+if [[ "${cli_commands}" -eq 0 ]]; then
+  echo "CI FAIL: artemisc --help lists no commands" >&2
+  exit 1
+fi
+echo "ok: ${cli_commands} commands print --help and refuse an unknown flag"
 
 echo "CI: all stages passed"

@@ -22,8 +22,8 @@
 // charge-budget axes through the machines:
 //
 //   6. Energy feasibility — a task's atomic per-attempt energy vs every
-//                           supplied budget (ART009); an MITD/maxDuration
-//                           bound vs the best-case delay once forced
+//                           supplied budget (ART009); an MITD/maxDuration/
+//                           period bound vs the best-case delay once forced
 //                           outages are packed in (ART010).
 //   7. Product reachability — machine x app-position product automaton:
 //                           every violating verdict dead (ART011) or a

@@ -235,9 +235,19 @@ bool CollectConstraintsImpl(const Expr& guard, std::map<std::string, Bound>* out
 std::string Interval::ToString() const {
   if (IsEmpty()) return "(empty)";
   std::ostringstream out;
-  out << (std::isinf(lo) ? std::string("(-inf") : "[" + NumberText(lo));
+  // Streamed piecewise: "[" + <temporary> trips GCC 12's -Wrestrict false
+  // positive inside char_traits.
+  if (std::isinf(lo)) {
+    out << "(-inf";
+  } else {
+    out << '[' << NumberText(lo);
+  }
   out << ", ";
-  out << (std::isinf(hi) ? std::string("+inf)") : NumberText(hi) + "]");
+  if (std::isinf(hi)) {
+    out << "+inf)";
+  } else {
+    out << NumberText(hi) << ']';
+  }
   return out.str();
 }
 
@@ -400,11 +410,22 @@ std::string ExprToText(const Expr& expr) {
       return expr.var;
     case ExprKind::kEventField:
       return EventFieldText(expr.field);
-    case ExprKind::kBinary:
-      return "(" + ExprToText(*expr.lhs) + " " + BinOpText(expr.bin) + " " +
-             ExprToText(*expr.rhs) + ")";
-    case ExprKind::kUnary:
-      return (expr.un == UnOp::kNot ? "!" : "-") + ExprToText(*expr.lhs);
+    case ExprKind::kBinary: {
+      // Appended piecewise, as in ExprToC (GCC 12 -Wrestrict false positive).
+      std::string out = "(";
+      out += ExprToText(*expr.lhs);
+      out += " ";
+      out += BinOpText(expr.bin);
+      out += " ";
+      out += ExprToText(*expr.rhs);
+      out += ")";
+      return out;
+    }
+    case ExprKind::kUnary: {
+      std::string out = expr.un == UnOp::kNot ? "!" : "-";
+      out += ExprToText(*expr.lhs);
+      return out;
+    }
   }
   return "?";
 }

@@ -7,9 +7,10 @@
 //   * EnergyFeasibilityPass — ART009: a task whose single atomic attempt
 //     (work + kernel boundary + monitor stepping + boot restore) exceeds
 //     every supplied budget can never commit; the app is guaranteed
-//     non-terminating. ART010: an MITD/maxDuration bound that the best
-//     case cannot meet once the forced outages implied by the budget are
-//     packed into the producer->consumer window.
+//     non-terminating. ART010: an MITD/maxDuration/period bound that the
+//     best case cannot meet once the forced outages implied by the budget
+//     are packed into its window, a maxDuration above the same task's
+//     period, or (warning, outage axes only) a maxDuration with no slack.
 //   * ProductReachabilityPass — composes each machine with the app's task
 //     positions (the producible event alphabet in path order, with
 //     re-execution self-loops). ART011: the property has fail sites but

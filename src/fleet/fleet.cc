@@ -856,7 +856,10 @@ std::string RenderFleetTable(const FleetSpec& spec, const FleetOutcome& outcome)
   if (!outcome.handler_classes.empty()) {
     out += "batch: handler_classes=[";
     for (std::size_t i = 0; i < outcome.handler_classes.size(); ++i) {
-      out += (i == 0 ? "" : ",") + U64(outcome.handler_classes[i]);
+      // Two appends: "," + <temporary> trips GCC 12's -Wrestrict false
+      // positive inside char_traits.
+      out += i == 0 ? "" : ",";
+      out += U64(outcome.handler_classes[i]);
     }
     out += "] dead_columns=" + U64(outcome.dead_columns) + "/" +
            U64(outcome.total_columns) + "\n";

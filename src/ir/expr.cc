@@ -172,9 +172,18 @@ std::string ExprToC(const Expr& expr) {
       return "m->" + expr.var;
     case ExprKind::kEventField:
       return FieldName(expr.field);
-    case ExprKind::kBinary:
-      return "(" + ExprToC(*expr.lhs) + " " + BinOpToken(expr.bin) + " " + ExprToC(*expr.rhs) +
-             ")";
+    case ExprKind::kBinary: {
+      // Appended piecewise: "(" + <temporary> trips GCC 12's -Wrestrict
+      // false positive inside char_traits.
+      std::string out = "(";
+      out += ExprToC(*expr.lhs);
+      out += " ";
+      out += BinOpToken(expr.bin);
+      out += " ";
+      out += ExprToC(*expr.rhs);
+      out += ")";
+      return out;
+    }
     case ExprKind::kUnary:
       return expr.un == UnOp::kNot ? "!(" + ExprToC(*expr.lhs) + ")"
                                    : "-(" + ExprToC(*expr.lhs) + ")";

@@ -109,7 +109,10 @@ StateMachine LowerCollect(const PropertyAst& p, const std::string& label, TaskId
   // A start with enough samples passes without touching the counter, so a
   // power-failure re-execution of A still passes; the samples are consumed
   // when A *commits* (end(A) resets the counter).
-  std::vector<StmtPtr> fail_body = {Fail(p.on_fail, p.path, label)};
+  // Built by push_back: a one-element initializer list followed by a
+  // push_back trips GCC 12's -Warray-bounds false positive.
+  std::vector<StmtPtr> fail_body;
+  fail_body.push_back(Fail(p.on_fail, p.path, label));
   if (reset_on_fail) {
     fail_body.push_back(Assign("i", Const(0.0)));
   }

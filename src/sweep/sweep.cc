@@ -184,6 +184,23 @@ void AppendTableLine(std::string& out, const std::array<std::string_view, 10>& c
   out += '\n';
 }
 
+// The analyzer's deployment axes for a run; an empty axis keeps the
+// analyzer's default.
+AnalysisOptions GateOptions(const std::vector<EnergyUj>& budgets,
+                            const std::vector<SimDuration>& charges, const std::string& flight,
+                            std::size_t flight_bytes) {
+  AnalysisOptions options;
+  if (!budgets.empty()) {
+    options.budgets = budgets;
+  }
+  if (!charges.empty()) {
+    options.charges = charges;
+  }
+  options.flight_enabled = flight != "off";
+  options.flight_bytes = flight_bytes;
+  return options;
+}
+
 }  // namespace
 
 bool SweepOutcome::AllOk() const {
@@ -483,17 +500,8 @@ Status PreAnalyzeSpec(const std::string& engine_name, const std::string& label,
     // (SweepEngineTest.BadSpecBecomesErrorRowsNotProcessDeath).
     return Status::Ok();
   }
-  AnalysisOptions options;
-  if (!budgets.empty()) {
-    options.budgets = budgets;
-  }
-  if (!charges.empty()) {
-    options.charges = charges;
-  }
-  options.flight_enabled = flight != "off";
-  options.flight_bytes = flight_bytes;
-  const DiagnosticEngine engine =
-      AnalyzeMachines(artifact.value()->machines, graph, options);
+  const DiagnosticEngine engine = AnalyzeMachines(
+      artifact.value()->machines, graph, GateOptions(budgets, charges, flight, flight_bytes));
   if (engine.HasErrors()) {
     return Status::Invalid(engine_name + ": static analysis of spec '" + label +
                            "' found " + std::to_string(engine.ErrorCount()) +
@@ -536,15 +544,8 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
       if (!gate.ok()) {
         return gate;
       }
-      AnalysisOptions options;
-      if (!spec.budgets.empty()) {
-        options.budgets = spec.budgets;
-      }
-      if (!spec.charges.empty()) {
-        options.charges = spec.charges;
-      }
-      options.flight_enabled = spec.flight != "off";
-      options.flight_bytes = spec.flight_bytes;
+      const AnalysisOptions options =
+          GateOptions(spec.budgets, spec.charges, spec.flight, spec.flight_bytes);
       for (const std::string& text : seen) {
         StatusOr<MonitorImage> old_image = BuildMonitorImage(text, graph, 1);
         StatusOr<MonitorImage> new_image = BuildMonitorImage(spec.spec2.text, graph, 2);

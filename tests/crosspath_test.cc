@@ -1,7 +1,7 @@
 // Cross-path dependency semantics: the Path qualifier as restart target vs
 // event scope (the split introduced for producer-path dependencies), plus
 // assorted coverage of the supporting pieces (power literals, validator path
-// rules, consistency entry points).
+// rules).
 #include <gtest/gtest.h>
 
 #include "src/apps/health_app.h"
@@ -10,7 +10,6 @@
 #include "src/ir/lowering.h"
 #include "src/monitor/builtin.h"
 #include "src/monitor/interp.h"
-#include "src/spec/consistency.h"
 #include "src/base/units.h"
 #include "src/spec/lexer.h"
 #include "src/spec/parser.h"
@@ -134,37 +133,6 @@ TEST(PowerLiteralTest, ParsePowerRejectsNonsense) {
   EXPECT_FALSE(ParsePower("W").has_value());
   EXPECT_FALSE(ParsePower("-1mW").has_value());
   EXPECT_EQ(ParsePower("2.5mW"), 2.5);
-}
-
-TEST(ConsistencyEntryPointTest, IsConsistentDistinguishesSeverities) {
-  HealthApp app = BuildHealthApp();
-  auto risky = SpecParser::Parse("send: { maxDuration: 81ms onFail: skipTask; }");
-  EXPECT_TRUE(ConsistencyChecker::IsConsistent(risky.value(), app.graph));
-  auto broken = SpecParser::Parse("accel: { maxDuration: 10ms onFail: skipTask; }");
-  EXPECT_FALSE(ConsistencyChecker::IsConsistent(broken.value(), app.graph));
-}
-
-TEST(EnergyFeasibilityTest, FlagsOversizedTasks) {
-  HealthApp app = BuildHealthApp();
-  const auto findings = AnalyzeEnergyFeasibility(app.graph, /*budget_uj=*/10'000.0);
-  ASSERT_EQ(findings.size(), app.graph.task_count());
-  for (const EnergyFeasibilityFinding& f : findings) {
-    if (f.task_name == "accel") {
-      EXPECT_FALSE(f.feasible);  // 18 mJ per attempt > 10 mJ budget.
-      EXPECT_GT(f.per_attempt, 18'000.0);
-    }
-    if (f.task_name == "bodyTemp") {
-      EXPECT_TRUE(f.feasible);
-    }
-  }
-}
-
-TEST(EnergyFeasibilityTest, GenerousBudgetAllFeasible) {
-  HealthApp app = BuildHealthApp();
-  for (const EnergyFeasibilityFinding& f :
-       AnalyzeEnergyFeasibility(app.graph, 100'000.0)) {
-    EXPECT_TRUE(f.feasible) << f.task_name;
-  }
 }
 
 }  // namespace

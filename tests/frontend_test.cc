@@ -1,12 +1,11 @@
 // Tests for the Section 7 extension modules: the Mayfly-style alternative
-// frontend, the consistency checker, and the monitor placement options.
+// frontend and the monitor placement options.
 #include <gtest/gtest.h>
 
 #include "src/apps/health_app.h"
 #include "src/core/builder.h"
 #include "src/core/runtime.h"
 #include "src/ir/lowering.h"
-#include "src/spec/consistency.h"
 #include "src/spec/mayfly_frontend.h"
 #include "src/spec/parser.h"
 #include "src/spec/validator.h"
@@ -91,100 +90,6 @@ INSTANTIATE_TEST_SUITE_P(Syntax, MayflyFrontendRejectTest,
                                            BadMayfly{"expires(a -> b, 1min)"},
                                            BadMayfly{"collect(a -> b, fast);"},
                                            BadMayfly{"expires(a -> b, 1min) path;"}));
-
-// --------------------------------------------------- consistency checker --
-
-class ConsistencyTest : public ::testing::Test {
- protected:
-  ConsistencyTest() : app_(BuildHealthApp()) {}
-
-  std::vector<ConsistencyFinding> Analyze(const std::string& source) {
-    auto parsed = SpecParser::Parse(source);
-    EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-    return ConsistencyChecker::Analyze(parsed.value(), app_.graph);
-  }
-
-  HealthApp app_;
-};
-
-TEST_F(ConsistencyTest, Figure5SpecIsConsistent) {
-  auto parsed = SpecParser::Parse(HealthAppSpec());
-  EXPECT_TRUE(ConsistencyChecker::IsConsistent(parsed.value(), app_.graph));
-}
-
-TEST_F(ConsistencyTest, MaxDurationBelowWorkIsUnsatisfiable) {
-  // accel's work is 2 s.
-  const auto findings = Analyze("accel: { maxDuration: 500ms onFail: skipTask; }");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].severity, ConsistencySeverity::kUnsatisfiable);
-}
-
-TEST_F(ConsistencyTest, MitdBelowInterveningWorkIsUnsatisfiable) {
-  // Between accel and send on path 2 sits filter (15 ms): a 1 ms window can
-  // never be met even without failures.
-  const auto findings =
-      Analyze("send: { MITD: 1ms dpTask: accel onFail: restartPath Path: 2; }");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].severity, ConsistencySeverity::kUnsatisfiable);
-  EXPECT_NE(findings[0].message.find("path #2"), std::string::npos);
-}
-
-TEST_F(ConsistencyTest, GenerousMitdIsFine) {
-  EXPECT_TRUE(Analyze("send: { MITD: 5min dpTask: accel onFail: restartPath Path: 2; }")
-                  .empty());
-}
-
-TEST_F(ConsistencyTest, PeriodFasterThanPathIsUnsatisfiable) {
-  // accel's shortest containing path takes > 2 s (the accel burst alone).
-  const auto findings = Analyze("accel: { period: 1s onFail: restartTask; }");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].severity, ConsistencySeverity::kUnsatisfiable);
-}
-
-TEST_F(ConsistencyTest, PeriodMaxDurationConflict) {
-  const auto findings = Analyze(
-      "bodyTemp: { period: 50ms onFail: restartTask; "
-      "maxDuration: 10s onFail: skipTask; }");
-  bool conflict = false;
-  for (const ConsistencyFinding& f : findings) {
-    conflict = conflict || f.severity == ConsistencySeverity::kConflict;
-  }
-  EXPECT_TRUE(conflict);
-}
-
-TEST_F(ConsistencyTest, TightMaxDurationIsRisky) {
-  // send's work is 80 ms; an 81 ms limit is satisfiable but has no slack.
-  const auto findings = Analyze("send: { maxDuration: 81ms onFail: skipTask; }");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].severity, ConsistencySeverity::kRisky);
-}
-
-TEST_F(ConsistencyTest, CollectRestartPathFlagsFigure7Semantics) {
-  const auto findings =
-      Analyze("calcAvg: { collect: 10 dpTask: bodyTemp onFail: restartPath; }");
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].severity, ConsistencySeverity::kRisky);
-  EXPECT_NE(findings[0].message.find("accumulate"), std::string::npos);
-}
-
-TEST(ConsistencyHelpersTest, BestCaseDelayAndPathTime) {
-  HealthApp app = BuildHealthApp();
-  // Path 2: accel -> filter -> send; delay accel->send spans filter.
-  const auto delay = BestCaseInterTaskDelay(app.graph, app.path_resp, app.accel, app.send);
-  ASSERT_TRUE(delay.has_value());
-  EXPECT_GE(*delay, 15 * kMillisecond);
-  EXPECT_LT(*delay, kSecond);
-  // Reversed order: no delay defined.
-  EXPECT_FALSE(
-      BestCaseInterTaskDelay(app.graph, app.path_resp, app.send, app.accel).has_value());
-  EXPECT_GT(BestCasePathTime(app.graph, app.path_resp), 2 * kSecond);
-}
-
-TEST(ConsistencySeverityTest, Names) {
-  EXPECT_STREQ(ConsistencySeverityName(ConsistencySeverity::kUnsatisfiable), "UNSATISFIABLE");
-  EXPECT_STREQ(ConsistencySeverityName(ConsistencySeverity::kConflict), "CONFLICT");
-  EXPECT_STREQ(ConsistencySeverityName(ConsistencySeverity::kRisky), "RISKY");
-}
 
 // ------------------------------------------------------ monitor placement --
 

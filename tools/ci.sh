@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full CI pipeline:
-#   1. Release build + tier-1 ctest suite.
+#   1. Release build with -Werror (the build is warning-clean) + tier-1
+#      ctest suite.
 #   2. Sanitize build (ASan + UBSan) + tier-1 ctest suite, via
 #      tools/run_sanitized_tests.sh.
-#   3. Static analysis gate: `artemisc check --analyze --json` must come out
+#   3. Static analysis gate: `artemisc check --json` must come out
 #      clean (exit 0) for every shipped example spec — including the
 #      EXPERIMENTS.md charge grid — and must FAIL (exit 1) for every fixture
 #      under examples/specs/bad/, each reporting its headline ART0xx code
@@ -62,7 +63,7 @@ tsan_dir="${3:-${repo_root}/build-tsan}"
 simd_dir="${4:-${repo_root}/build-simd}"
 
 echo "== [1/11] Release build + tests =="
-cmake -B "${release_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release
+cmake -B "${release_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "${release_dir}" -j "$(nproc)"
 ctest --test-dir "${release_dir}" --output-on-failure
 
@@ -75,7 +76,7 @@ artemisc="${release_dir}/tools/artemisc"
 check_clean() {
   local label="$1"
   shift
-  if ! "${artemisc}" check "$@" --analyze --json > /dev/null; then
+  if ! "${artemisc}" check "$@" --json > /dev/null; then
     echo "CI FAIL: ${label} should analyze clean" >&2
     exit 1
   fi
@@ -86,7 +87,7 @@ check_dirty() {
   local label="$1" expect_code="$2"
   shift 2
   local out rc=0
-  out="$("${artemisc}" check "$@" --analyze --json 2> /dev/null)" || rc=$?
+  out="$("${artemisc}" check "$@" --json 2> /dev/null)" || rc=$?
   if [[ "${rc}" -ne 1 ]]; then
     echo "CI FAIL: ${label} should exit 1 (got ${rc})" >&2
     exit 1

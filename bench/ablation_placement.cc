@@ -8,8 +8,10 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "src/core/builder.h"
 #include "src/ir/codegen_c.h"
 #include "src/ir/lowering.h"
+#include "src/spec/parser.h"
 
 using namespace artemis;
 using namespace artemis::bench;

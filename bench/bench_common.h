@@ -1,6 +1,6 @@
 // Shared setup for the experiment binaries: the Section 5 testbed
-// parameters and helpers to run the health benchmark under ARTEMIS or
-// Mayfly on a given power supply.
+// parameters and a helper to run the health benchmark under ARTEMIS or
+// Mayfly on a given charge schedule.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
@@ -12,14 +12,11 @@
 
 #include "src/apps/health_app.h"
 #include "src/base/status.h"
-#include "src/core/builder.h"
-#include "src/core/runtime.h"
+#include "src/core/device.h"
 #include "src/core/stats.h"
 #include "src/kernel/kernel.h"
-#include "src/mayfly/mayfly.h"
 #include "src/monitor/shared_spec.h"
 #include "src/obs/bus.h"
-#include "src/spec/parser.h"
 #include "src/sweep/sweep.h"
 
 namespace artemis::bench {
@@ -41,60 +38,32 @@ struct RunOutput {
   std::string label;
 };
 
-// Runs the health app under ARTEMIS on the given power model. When
+// Runs the health app under ARTEMIS (builtin monitors) or the Mayfly
+// baseline (MITD/collect subset, no maxAttempt), `kOnBudgetUj` per
+// on-period after `charge` of charging (0 = continuous power). When
 // `observer` is set, the sim/kernel/monitor layers publish into it
-// (src/obs) — fig13/fig16 consume that event stream. When `artifact` is
-// set (a pre-built shared spec artifact, e.g. from a CompiledSpecCache),
-// `spec_text` is ignored and no parse/lower/compile work happens per run. Setup failures come back as
-// a Status instead of killing the process, so sweep grids can report them
-// as error rows.
-inline StatusOr<RunOutput> RunArtemis(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
-                                      const std::string& spec_text = HealthAppSpec(),
-                                      MonitorBackend backend = MonitorBackend::kBuiltin,
-                                      obs::EventBus* observer = nullptr,
-                                      const SharedSpecArtifactPtr& artifact = nullptr) {
-  HealthApp app = BuildHealthApp();
-  ArtemisConfig config;
-  config.backend = backend;
-  config.kernel.max_wall_time = max_wall;
-  config.observer = observer;
-  StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-      artifact != nullptr
-          ? ArtemisRuntime::CreateFromArtifact(&app.graph, artifact, mcu.get(), config)
-          : ArtemisRuntime::Create(&app.graph, spec_text, mcu.get(), config);
-  if (!runtime.ok()) {
-    return runtime.status();
+// (src/obs) — fig13 consumes that event stream. Setup failures come back as
+// a Status instead of killing the process.
+inline StatusOr<RunOutput> RunHealth(DeviceSystem system, SimDuration charge,
+                                     SimDuration max_wall, obs::EventBus* observer = nullptr) {
+  const AppGraph& graph = sweep::SharedAppGraph("health");
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifact(HealthAppSpec(), graph, SpecArtifactStage::kAst);
+  if (!artifact.ok()) {
+    return artifact.status();
   }
-  return RunOutput{runtime.value()->Run(), "ARTEMIS"};
-}
-
-// Runs the health app under the Mayfly baseline (MITD/collect subset, no
-// maxAttempt) on the given power model. As above, a set `artifact` skips
-// the per-run spec parse.
-inline StatusOr<RunOutput> RunMayfly(std::unique_ptr<Mcu> mcu, SimDuration max_wall,
-                                     obs::EventBus* observer = nullptr,
-                                     const SharedSpecArtifactPtr& artifact = nullptr) {
-  HealthApp app = BuildHealthApp();
-  KernelOptions options;
-  options.max_wall_time = max_wall;
-  options.observer = observer;
-  if (observer != nullptr) {
-    mcu->set_observer(observer);
+  DeviceSetup setup;
+  setup.system = system;
+  setup.budget = kOnBudgetUj;
+  setup.charge = charge;
+  setup.kernel.max_wall_time = max_wall;
+  setup.observer = observer;
+  StatusOr<Device> device = BuildDevice(graph, artifact.value(), std::move(setup));
+  if (!device.ok()) {
+    return device.status();
   }
-  StatusOr<std::unique_ptr<MayflyRuntime>> runtime = [&] {
-    if (artifact != nullptr) {
-      return MayflyRuntime::Create(&app.graph, artifact->ast, mcu.get(), options);
-    }
-    StatusOr<SpecAst> parsed = SpecParser::Parse(HealthAppSpec());
-    if (!parsed.ok()) {
-      return StatusOr<std::unique_ptr<MayflyRuntime>>(parsed.status());
-    }
-    return MayflyRuntime::Create(&app.graph, parsed.value(), mcu.get(), options);
-  }();
-  if (!runtime.ok()) {
-    return runtime.status();
-  }
-  return RunOutput{runtime.value()->Run(), "Mayfly"};
+  return RunOutput{device.value().Run(),
+                   system == DeviceSystem::kArtemis ? "ARTEMIS" : "Mayfly"};
 }
 
 // Unwraps a run or aborts the bench: for binaries where a setup failure is

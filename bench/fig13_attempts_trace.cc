@@ -20,8 +20,7 @@ int main() {
   obs::EventBus bus;
   obs::CollectingSink sink;
   bus.AddSink(&sink);
-  auto run = Require(RunArtemis(PlatformBuilder().WithFixedCharge(kOnBudgetUj, ChargeTime(6)).Build(),
-                        8 * kHour, HealthAppSpec(), MonitorBackend::kBuiltin, &bus));
+  auto run = Require(RunHealth(DeviceSystem::kArtemis, ChargeTime(6), 8 * kHour, &bus));
 
   // Print the path-#2 portion of the stream: attempts, violations, the skip.
   int attempt = 0;

@@ -14,8 +14,8 @@ using namespace artemis::bench;
 int main() {
   std::printf("=== Figure 14: execution time on continuous power ===\n\n");
 
-  auto artemis_run = Require(RunArtemis(PlatformBuilder().WithContinuousPower().Build(), 0));
-  auto mayfly_run = Require(RunMayfly(PlatformBuilder().WithContinuousPower().Build(), 0));
+  auto artemis_run = Require(RunHealth(DeviceSystem::kArtemis, 0, 0));
+  auto mayfly_run = Require(RunHealth(DeviceSystem::kMayfly, 0, 0));
 
   const OverheadBreakdown a = BreakdownFromStats(artemis_run.result.stats);
   const OverheadBreakdown m = BreakdownFromStats(mayfly_run.result.stats);

@@ -20,8 +20,8 @@ double Ms(SimDuration d) { return static_cast<double>(d) / static_cast<double>(k
 int main() {
   std::printf("=== Figure 15: overhead breakdown (milliseconds) ===\n\n");
 
-  auto artemis_run = Require(RunArtemis(PlatformBuilder().WithContinuousPower().Build(), 0));
-  auto mayfly_run = Require(RunMayfly(PlatformBuilder().WithContinuousPower().Build(), 0));
+  auto artemis_run = Require(RunHealth(DeviceSystem::kArtemis, 0, 0));
+  auto mayfly_run = Require(RunHealth(DeviceSystem::kMayfly, 0, 0));
 
   const OverheadBreakdown a = BreakdownFromStats(artemis_run.result.stats);
   const OverheadBreakdown m = BreakdownFromStats(mayfly_run.result.stats);

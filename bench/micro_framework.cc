@@ -221,8 +221,7 @@ std::vector<MonitorEvent> HealthEventCycle(const HealthApp& app, SimTime base,
 void BM_MonitorStepSweep(benchmark::State& state, MonitorBackend backend) {
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse(HealthAppSpec());
-  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, backend, {},
-                                       ArbitrationPolicy::kSeverity))
+  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, backend))
                  .value();
   // Sixteen path cycles with monotonic timestamps, replayed every iteration
   // (the backward time jump at the replay seam hits all backends equally).
@@ -296,8 +295,7 @@ BENCHMARK(BM_HealthAppIntermittentRun);
 void BM_MonitorSetDispatch(benchmark::State& state) {
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse(HealthAppSpec());
-  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin,
-                                       {}, ArbitrationPolicy::kSeverity))
+  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin))
                  .value();
   Mcu mcu(std::make_unique<AlwaysOnPowerModel>(), DefaultCostModel());
   set->HardReset(mcu);

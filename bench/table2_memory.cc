@@ -13,8 +13,10 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
+#include "src/core/builder.h"
 #include "src/ir/codegen_c.h"
 #include "src/ir/lowering.h"
+#include "src/spec/parser.h"
 #include "src/spec/validator.h"
 
 using namespace artemis;

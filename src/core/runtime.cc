@@ -1,19 +1,15 @@
 #include "src/core/runtime.h"
 
+#include <string>
+#include <utility>
+
 #include "src/sim/cost_model.h"
-#include "src/spec/parser.h"
-#include "src/spec/validator.h"
 
 namespace artemis {
 
-ArtemisRuntime::ArtemisRuntime(const AppGraph* graph, SpecAst spec, Mcu* mcu,
-                               std::unique_ptr<MonitorSet> monitors,
-                               std::vector<std::string> warnings, const ArtemisConfig& config)
-    : graph_(graph),
-      spec_(std::move(spec)),
-      mcu_(mcu),
-      monitors_(std::move(monitors)),
-      warnings_(std::move(warnings)) {
+ArtemisRuntime::ArtemisRuntime(const AppGraph* graph, SharedSpecArtifactPtr artifact, Mcu* mcu,
+                               std::unique_ptr<MonitorSet> monitors, const ArtemisConfig& config)
+    : graph_(graph), artifact_(std::move(artifact)), mcu_(mcu), monitors_(std::move(monitors)) {
   KernelOptions kernel_options = config.kernel;
   if (config.observer != nullptr) {
     kernel_options.observer = config.observer;
@@ -31,36 +27,12 @@ StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::Create(const AppGraph*
                                                                  std::string_view spec_source,
                                                                  Mcu* mcu,
                                                                  const ArtemisConfig& config) {
-  StatusOr<SpecAst> parsed = SpecParser::Parse(spec_source);
-  if (!parsed.ok()) {
-    return parsed.status();
+  StatusOr<SharedSpecArtifactPtr> artifact = BuildSpecArtifact(
+      std::string(spec_source), *graph, StageForBackend(config.backend), config.lowering);
+  if (!artifact.ok()) {
+    return artifact.status();
   }
-  return CreateFromAst(graph, parsed.value(), mcu, config);
-}
-
-StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromAst(
-    const AppGraph* graph, const SpecAst& spec, Mcu* mcu, const ArtemisConfig& config) {
-  if (const Status status = graph->Validate(); !status.ok()) {
-    return status;
-  }
-  ValidationResult validation = SpecValidator::Validate(spec, *graph);
-  if (!validation.ok()) {
-    return validation.status;
-  }
-  if (config.warnings_are_errors && !validation.warnings.empty()) {
-    return Status::FailedPrecondition("spec has validation warnings: " +
-                                      validation.warnings.front());
-  }
-  const MonitorSetOptions monitor_options{
-      .policy = config.arbitration, .placement = config.placement, .radio = config.radio};
-  StatusOr<std::unique_ptr<MonitorSet>> monitors =
-      BuildMonitorSet(spec, *graph, config.backend, config.lowering, monitor_options);
-  if (!monitors.ok()) {
-    return monitors.status();
-  }
-  return std::unique_ptr<ArtemisRuntime>(
-      new ArtemisRuntime(graph, spec, mcu, std::move(monitors).value(),
-                         std::move(validation.warnings), config));
+  return CreateFromArtifact(graph, artifact.value(), mcu, config);
 }
 
 StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromArtifact(
@@ -72,12 +44,6 @@ StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromArtifact(
   if (artifact == nullptr) {
     return Status::Invalid("null spec artifact");
   }
-  // Validation ran when the artifact was built; only the strictness policy
-  // is re-applied here (it is a per-run config knob, not pipeline work).
-  if (config.warnings_are_errors && !artifact->validation_warnings.empty()) {
-    return Status::FailedPrecondition("spec has validation warnings: " +
-                                      artifact->validation_warnings.front());
-  }
   const MonitorSetOptions monitor_options{
       .policy = config.arbitration, .placement = config.placement, .radio = config.radio};
   StatusOr<std::unique_ptr<MonitorSet>> monitors = BuildMonitorSetFromArtifact(
@@ -86,8 +52,7 @@ StatusOr<std::unique_ptr<ArtemisRuntime>> ArtemisRuntime::CreateFromArtifact(
     return monitors.status();
   }
   return std::unique_ptr<ArtemisRuntime>(
-      new ArtemisRuntime(graph, artifact->ast, mcu, std::move(monitors).value(),
-                         artifact->validation_warnings, config));
+      new ArtemisRuntime(graph, artifact, mcu, std::move(monitors).value(), config));
 }
 
 KernelRunResult ArtemisRuntime::Run() { return kernel_->Run(); }

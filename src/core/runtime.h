@@ -29,8 +29,6 @@ struct ArtemisConfig {
   RadioProfile radio;  // For MonitorPlacement::kRemote.
   LoweringOptions lowering;
   KernelOptions kernel;
-  // Reject specs with validation warnings (strict mode for CI-style use).
-  bool warnings_are_errors = false;
   // Cross-layer observability bus (src/obs): when set, the MCU, kernel, and
   // monitor set all publish into it (docs/tracing.md). Equivalent to setting
   // kernel.observer plus MonitorSet/Mcu::set_observer by hand.
@@ -44,22 +42,18 @@ struct ArtemisConfig {
 
 class ArtemisRuntime {
  public:
-  // Parses + validates `spec_source`, generates the monitors, and prepares
-  // the kernel. `graph` and `mcu` must outlive the runtime.
+  // Builds the spec artifact `config.backend` needs from `spec_source`
+  // (BuildSpecArtifact), then the runtime over it (CreateFromArtifact).
+  // `graph` and `mcu` must outlive the runtime.
   static StatusOr<std::unique_ptr<ArtemisRuntime>> Create(const AppGraph* graph,
                                                           std::string_view spec_source,
                                                           Mcu* mcu,
                                                           const ArtemisConfig& config = {});
 
-  // As above but from an already-parsed AST (used by builders and tests).
-  static StatusOr<std::unique_ptr<ArtemisRuntime>> CreateFromAst(const AppGraph* graph,
-                                                                 const SpecAst& spec, Mcu* mcu,
-                                                                 const ArtemisConfig& config);
-
   // From a pre-built shared spec artifact (src/monitor/shared_spec.h): no
   // parse / validate / lower / compile work happens here — the monitors are
-  // per-run state over the artifact's immutable programs. This is the sweep
-  // engine's per-point setup path: cost is arena allocation, not pipeline.
+  // per-run state over the artifact's immutable programs, so the cost is
+  // arena allocation, not pipeline.
   static StatusOr<std::unique_ptr<ArtemisRuntime>> CreateFromArtifact(
       const AppGraph* graph, const SharedSpecArtifactPtr& artifact, Mcu* mcu,
       const ArtemisConfig& config);
@@ -73,8 +67,10 @@ class ArtemisRuntime {
   // Mutable access, for the hot-swap controller (src/swap/hotswap.h) which
   // replaces the set's monitors when a new image commits.
   MonitorSet& monitors() { return *monitors_; }
-  const SpecAst& spec() const { return spec_; }
-  const std::vector<std::string>& validation_warnings() const { return warnings_; }
+  const SpecAst& spec() const { return artifact_->ast; }
+  const std::vector<std::string>& validation_warnings() const {
+    return artifact_->validation_warnings;
+  }
   Mcu& mcu() { return *mcu_; }
 
   // Registered ARTEMIS runtime .text proxy (Table 2); the monitor text proxy
@@ -82,16 +78,14 @@ class ArtemisRuntime {
   static std::size_t RuntimeTextBytes();
 
  private:
-  ArtemisRuntime(const AppGraph* graph, SpecAst spec, Mcu* mcu,
-                 std::unique_ptr<MonitorSet> monitors, std::vector<std::string> warnings,
-                 const ArtemisConfig& config);
+  ArtemisRuntime(const AppGraph* graph, SharedSpecArtifactPtr artifact, Mcu* mcu,
+                 std::unique_ptr<MonitorSet> monitors, const ArtemisConfig& config);
 
   const AppGraph* graph_;
-  SpecAst spec_;
+  SharedSpecArtifactPtr artifact_;
   Mcu* mcu_;
   std::unique_ptr<MonitorSet> monitors_;
   std::unique_ptr<IntermittentKernel> kernel_;
-  std::vector<std::string> warnings_;
 };
 
 }  // namespace artemis

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/sim/cost_model.h"
 #include "src/sweep/sweep.h"
 
@@ -141,61 +141,39 @@ DeviceResult DeviceInstance::Finish(const KernelRunResult& run,
 }
 
 DeviceResult DeviceInstance::RunScalar() {
-  const AppGraph& graph = sweep::SharedAppGraph(ctx_.app);
-  PlatformBuilder builder;
-  if (config_.charge == 0) {
-    builder.WithContinuousPower();
-  } else {
-    builder.WithFixedCharge(config_.budget, config_.charge);
-  }
-  std::unique_ptr<Mcu> mcu = builder.Build();
-
   obs::EventBus bus;
   ObsStatsAggregator aggregator;
-  obs::EventBus* observer = nullptr;
+  DeviceSetup setup;
+  setup.backend = config_.backend;
+  setup.budget = config_.budget;
+  setup.charge = config_.charge;
+  setup.kernel = KernelLimits();
   if (config_.collect_obs) {
     bus.AddSink(&aggregator);
-    observer = &bus;
+    setup.observer = &bus;
   }
-
-  ArtemisConfig config;
-  config.backend = config_.backend;
-  config.kernel.seed = config_.seed;
-  config.kernel.max_wall_time = config_.horizon;
-  config.kernel.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
-  config.kernel.max_steps = config_.max_steps;
-  config.observer = observer;
-  StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-      ArtemisRuntime::CreateFromArtifact(&graph, ctx_.artifact, mcu.get(), config);
-  if (!runtime.ok()) {
+  StatusOr<Device> device =
+      BuildDevice(sweep::SharedAppGraph(ctx_.app), ctx_.artifact, std::move(setup));
+  if (!device.ok()) {
     DeviceResult r;
-    r.error = runtime.status().ToString();
+    r.error = device.status().ToString();
     return r;
   }
-  const KernelRunResult run = runtime.value()->Run();
-  return Finish(run, runtime.value()->kernel(),
-                runtime.value()->monitors().events_processed(),
-                runtime.value()->monitors().violations_reported(),
-                config_.collect_obs ? &aggregator : nullptr);
+  const KernelRunResult run = device.value().Run();
+  const MonitorSet& monitors = device.value().artemis()->monitors();
+  return Finish(run, device.value().kernel(), monitors.events_processed(),
+                monitors.violations_reported(), config_.collect_obs ? &aggregator : nullptr);
 }
 
 DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
-  const AppGraph& graph = sweep::SharedAppGraph(ctx_.app);
-  PlatformBuilder builder;
-  if (config_.charge == 0) {
-    builder.WithContinuousPower();
-  } else {
-    builder.WithFixedCharge(config_.budget, config_.charge);
-  }
-  std::unique_ptr<Mcu> mcu = builder.Build();
-
+  std::unique_ptr<Mcu> mcu = BuildDeviceMcu(config_.budget, config_.charge);
   obs::EventBus bus;
   ObsStatsAggregator aggregator;
-  obs::EventBus* observer = nullptr;
+  KernelOptions options = KernelLimits();
   if (config_.collect_obs) {
     bus.AddSink(&aggregator);
-    observer = &bus;
-    mcu->set_observer(observer);
+    options.observer = &bus;
+    mcu->set_observer(&bus);
   }
 
   records->clear();
@@ -203,16 +181,19 @@ DeviceResult DeviceInstance::RunCapture(std::vector<CapturedRecord>* records) {
   // itself: monitor_call_cycles, then each monitor's step cycles.
   MonitorCharges charges = MonitorSet::CompiledCharges(ctx_.artifact->compiled, mcu->costs());
   CaptureChecker checker(std::move(charges.step_cycles), charges.fram_bytes, records);
+  IntermittentKernel kernel(&sweep::SharedAppGraph(ctx_.app), &checker, mcu.get(), options);
+  const KernelRunResult run = kernel.Run();
+  // monitor_events/violations stay 0 here: the batch pass owns them.
+  return Finish(run, kernel, 0, 0, config_.collect_obs ? &aggregator : nullptr);
+}
+
+KernelOptions DeviceInstance::KernelLimits() const {
   KernelOptions options;
   options.seed = config_.seed;
   options.max_wall_time = config_.horizon;
   options.app_iterations = config_.iterations == 0 ? UINT64_MAX : config_.iterations;
   options.max_steps = config_.max_steps;
-  options.observer = observer;
-  IntermittentKernel kernel(&graph, &checker, mcu.get(), options);
-  const KernelRunResult run = kernel.Run();
-  // monitor_events/violations stay 0 here: the batch pass owns them.
-  return Finish(run, kernel, 0, 0, config_.collect_obs ? &aggregator : nullptr);
+  return options;
 }
 
 }  // namespace artemis::fleet

@@ -180,6 +180,9 @@ class DeviceInstance {
   DeviceResult RunCapture(std::vector<CapturedRecord>* records);
 
  private:
+  // The kernel's seed and horizon for this device; the observer is left
+  // to the caller.
+  KernelOptions KernelLimits() const;
   DeviceResult Finish(const KernelRunResult& run, const IntermittentKernel& kernel,
                       std::uint64_t monitor_events, std::uint64_t violations,
                       const ObsStatsAggregator* agg) const;

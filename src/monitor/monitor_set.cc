@@ -1,9 +1,7 @@
 #include "src/monitor/monitor_set.h"
 
-#include "src/ir/compile.h"
-#include "src/monitor/builtin.h"
 #include "src/monitor/compiled.h"
-#include "src/monitor/interp.h"
+#include "src/monitor/shared_spec.h"
 #include "src/sim/mcu.h"
 
 namespace artemis {
@@ -296,44 +294,13 @@ void MonitorSet::OnPathRestart(PathId path, Mcu& mcu) {
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
                                                       MonitorBackend backend,
                                                       const LoweringOptions& lowering,
-                                                      ArbitrationPolicy policy) {
-  return BuildMonitorSet(spec, graph, backend, lowering, MonitorSetOptions{.policy = policy});
-}
-
-StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
-                                                      MonitorBackend backend,
-                                                      const LoweringOptions& lowering,
                                                       const MonitorSetOptions& options) {
-  auto set = std::make_unique<MonitorSet>(options);
-  if (backend == MonitorBackend::kInterpreted || backend == MonitorBackend::kCompiled) {
-    StatusOr<std::vector<StateMachine>> machines = LowerSpec(spec, graph, lowering);
-    if (!machines.ok()) {
-      return machines.status();
-    }
-    for (StateMachine& machine : machines.value()) {
-      if (backend == MonitorBackend::kCompiled) {
-        StatusOr<CompiledMachine> compiled = CompileStateMachine(machine);
-        if (!compiled.ok()) {
-          return compiled.status();
-        }
-        set->Add(std::make_unique<CompiledMonitor>(std::move(compiled).value()));
-      } else {
-        set->Add(std::make_unique<InterpretedMonitor>(std::move(machine)));
-      }
-    }
-    return set;
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifactFromAst(spec, graph, StageForBackend(backend), lowering);
+  if (!artifact.ok()) {
+    return artifact.status();
   }
-  for (const TaskBlockAst& block : spec.blocks) {
-    for (const PropertyAst& property : block.properties) {
-      StatusOr<std::unique_ptr<Monitor>> monitor =
-          MakeBuiltinMonitor(property, block.task, graph, lowering.collect_reset_on_fail);
-      if (!monitor.ok()) {
-        return monitor.status();
-      }
-      set->Add(std::move(monitor).value());
-    }
-  }
-  return set;
+  return BuildMonitorSetFromArtifact(artifact.value(), graph, backend, lowering, options);
 }
 
 }  // namespace artemis

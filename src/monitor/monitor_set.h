@@ -229,23 +229,17 @@ class MonitorSet : public PropertyChecker {
   std::uint64_t violations_reported_ = 0;
 };
 
-// Builds a MonitorSet from a validated spec with the chosen backend.
-// kInterpreted lowers each property to an intermediate-language machine and
-// interprets it; kBuiltin instantiates the Figure 10 style structures;
-// kCompiled lowers and then flattens each machine into slot-indexed
-// bytecode (src/ir/compile.h) for fast host-side sweeps — see
-// docs/monitor-backends.md.
+// Builds a MonitorSet from a spec with the chosen backend: the spec
+// artifact the backend needs (BuildSpecArtifactFromAst in
+// src/monitor/shared_spec.h), then the set over it
+// (BuildMonitorSetFromArtifact). kBuiltin instantiates the Figure 10 style
+// structures, kInterpreted interprets the lowered intermediate-language
+// machines, and kCompiled runs their slot-indexed bytecode (src/ir/compile.h)
+// — see docs/monitor-backends.md.
 StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
                                                       MonitorBackend backend,
                                                       const LoweringOptions& lowering = {},
-                                                      ArbitrationPolicy policy =
-                                                          ArbitrationPolicy::kSeverity);
-
-// Full-options variant (placement alternatives).
-StatusOr<std::unique_ptr<MonitorSet>> BuildMonitorSet(const SpecAst& spec, const AppGraph& graph,
-                                                      MonitorBackend backend,
-                                                      const LoweringOptions& lowering,
-                                                      const MonitorSetOptions& options);
+                                                      const MonitorSetOptions& options = {});
 
 }  // namespace artemis
 

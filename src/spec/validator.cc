@@ -133,11 +133,6 @@ ValidationResult SpecValidator::Validate(const SpecAst& spec, const AppGraph& gr
             result.status = ErrorAt(p.line, label + ": duration must be positive");
             return result;
           }
-          if (graph.task(*task).work.duration > p.duration) {
-            result.warnings.push_back(label +
-                                      ": limit is below the task's modelled work time; the "
-                                      "property can never be satisfied");
-          }
           break;
         case PropertyKind::kMitd:
         case PropertyKind::kPeriod:

@@ -219,4 +219,14 @@ DiagnosticEngine AnalyzeSwap(const MonitorImage& old_image, const MonitorImage& 
   return engine;
 }
 
+DiagnosticEngine AnalyzeReplacement(const MonitorImage& installed, const MonitorImage& next,
+                                    const AppGraph& graph, const AnalysisOptions& options) {
+  DiagnosticEngine engine = AnalyzeMachines(next.artifact->machines, graph, options);
+  const DiagnosticEngine swap = AnalyzeSwap(installed, next, graph, options);
+  for (const Diagnostic& d : swap.diagnostics()) {
+    engine.Report(d);
+  }
+  return engine;
+}
+
 }  // namespace artemis

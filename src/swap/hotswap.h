@@ -114,14 +114,22 @@ class HotSwapController : public SwapHook {
   SwapStats stats_;
 };
 
-// Pre-deployment whole-swap analysis (the `artemisc check --spec2` /
-// `artemisc swap` gate): runs the migration planner (ART015) and prices the
+// Pre-deployment whole-swap analysis (`artemisc check --spec2`): runs the
+// migration planner (ART015) and prices the
 // swap window — control write + staged bytes + the swap-epoch flight record
 // when flight is enabled — against every supplied charge budget on top of
 // the boot-restore energy (ART016). Infeasible under every budget is an
 // error (the swap can never commit); under only some is a warning.
 DiagnosticEngine AnalyzeSwap(const MonitorImage& old_image, const MonitorImage& new_image,
                              const AppGraph& graph, const AnalysisOptions& options = {});
+
+// The delivery gate for a replacement image, run by `artemisc swap` and the
+// sweep's spec2 axis before anything is delivered: the whole-system
+// analyzer over the replacement's machines under the deployment axes
+// (AnalyzeMachines), then AnalyzeSwap from the installed image, in one
+// engine. Every finding is located in the replacement spec.
+DiagnosticEngine AnalyzeReplacement(const MonitorImage& installed, const MonitorImage& next,
+                                    const AppGraph& graph, const AnalysisOptions& options);
 
 }  // namespace artemis
 

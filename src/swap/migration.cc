@@ -282,12 +282,14 @@ MigrationPlan PlanMigration(const MonitorImage& old_image, const MonitorImage& n
   }
   for (std::size_t i = 0; i < oldc.size(); ++i) {
     if (!old_claimed[i]) {
+      // Spanless: findings render against the replacement spec, and this
+      // machine lives in the installed one, so its position goes in the note.
       engine->Report(MigrationDiag(
-          DiagSeverity::kWarning, oldc[i].name, oldc[i].property_label,
-          old_image.artifact->machines[i].source,
+          DiagSeverity::kWarning, oldc[i].name, oldc[i].property_label, {},
           "installed machine `" + oldc[i].name + "` has no counterpart in the replacement",
-          "its state is discarded; rename with `machine " + oldc[i].name +
-              " -> <new machine>;` if the property survived under a new name"));
+          "declared at " + old_image.artifact->machines[i].source.ToString() +
+              " of the installed spec; its state is discarded; rename with `machine " +
+              oldc[i].name + " -> <new machine>;` if the property survived under a new name"));
     }
   }
   return plan;

@@ -14,7 +14,7 @@
 #include "src/base/json.h"
 #include "src/base/thread_pool.h"
 #include "src/base/units.h"
-#include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/flight/recorder.h"
 #include "src/obs/bus.h"
 #include "src/sim/timekeeper.h"
@@ -328,40 +328,28 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   row.seed = point.seed;
 
   const AppGraph& graph = SharedAppGraph(point.app);
-
-  PlatformBuilder builder;
-  if (point.charge == 0) {
-    builder.WithContinuousPower();
-  } else {
-    builder.WithFixedCharge(point.budget, point.charge);
-  }
+  DeviceSetup setup;
+  setup.system = point.system == "mayfly" ? DeviceSystem::kMayfly : DeviceSystem::kArtemis;
+  setup.backend = point.backend;
+  setup.budget = point.budget;
+  setup.charge = point.charge;
+  setup.kernel.seed = point.seed;
+  setup.kernel.max_wall_time = spec.max_wall;
+  setup.flight_bytes = spec.flight_bytes;
   StatusOr<std::unique_ptr<OutageTimekeeper>> timekeeper = MakeTimekeeper(point.timekeeper);
   if (!timekeeper.ok()) {
     row.error = timekeeper.status().ToString();
     return row;
   }
-  if (timekeeper.value() != nullptr) {
-    builder.WithTimekeeper(std::move(timekeeper).value());
-  }
-  std::unique_ptr<Mcu> mcu = builder.Build();
-
-  // A non-"off" flight axis attaches a per-point recorder: the ring lives in
-  // this point's NVM arena and every append is charged to this point's MCU,
-  // so the footprint numbers below are isolated per row.
+  setup.timekeeper = std::move(timekeeper).value();
+  // A non-"off" flight axis gives every point its own recorder, so the
+  // footprint numbers below are isolated per row.
   StatusOr<flight::FlightLevel> flight_level = ParseFlightAxis(spec.flight);
   if (!flight_level.ok()) {
     row.error = flight_level.status().ToString();
     return row;
   }
-  std::unique_ptr<flight::FlightRecorder> recorder;
-  if (flight_level.value() != flight::FlightLevel::kOff) {
-    recorder =
-        std::make_unique<flight::FlightRecorder>(spec.flight_bytes, flight_level.value());
-    if (const Status attached = mcu->AttachFlightRecorder(recorder.get()); !attached.ok()) {
-      row.error = attached.ToString();
-      return row;
-    }
-  }
+  setup.flight = flight_level.value();
 
   // Per-point bus: the aggregator (collect_stats) and, for a post_run hook,
   // an event log. Attaching costs zero simulated cycles, so neither ever
@@ -376,102 +364,55 @@ SweepRow RunSweepPoint(const SweepPoint& point, const SweepSpec& spec,
   if (spec.post_run) {
     bus.AddSink(&events);
   }
-  obs::EventBus* observer = bus.active() ? &bus : nullptr;
+  setup.observer = bus.active() ? &bus : nullptr;
 
-  // Mayfly derives its rules from the AST, so it shares kAst-stage cache
-  // entries with the builtin backend.
-  const SpecArtifactStage stage = point.system == "mayfly"
-                                      ? SpecArtifactStage::kAst
-                                      : StageForBackend(point.backend);
+  // Mayfly runs from the AST, so it shares kAst-stage cache entries with
+  // the builtin backend.
   StatusOr<SharedSpecArtifactPtr> artifact =
-      cache.Get(point.app, point.spec_text, graph, stage);
+      cache.Get(point.app, point.spec_text, graph, StageForDevice(setup));
   if (!artifact.ok()) {
     row.error = artifact.status().ToString();
     return row;
   }
-
-  SweepRunArtifacts artifacts;
-  artifacts.graph = &graph;
-  artifacts.events = &events.events();
-  if (point.system == "artemis") {
-    ArtemisConfig config;
-    config.backend = point.backend;
-    config.kernel.seed = point.seed;
-    config.kernel.max_wall_time = spec.max_wall;
-    config.observer = observer;
-    config.flight = recorder.get();
-    StatusOr<std::unique_ptr<ArtemisRuntime>> runtime =
-        ArtemisRuntime::CreateFromArtifact(&graph, artifact.value(), mcu.get(), config);
-    if (!runtime.ok()) {
-      row.error = runtime.status().ToString();
+  // Hot-swap axis: spec2 is queued as the epoch-2 replacement image before
+  // the first boot; the kernel delivers it at quiescence (docs/hotswap.md).
+  if (!spec.spec2.text.empty()) {
+    StatusOr<SharedSpecArtifactPtr> next =
+        cache.Get(point.app, spec.spec2.text, graph, SpecArtifactStage::kCompiled);
+    if (!next.ok()) {
+      row.error = next.status().ToString();
       return row;
     }
-    // Hot-swap axis: queue spec2 as the epoch-2 replacement image before the
-    // first boot; the kernel delivers it at quiescence (docs/hotswap.md).
-    std::unique_ptr<HotSwapController> swap;
-    if (!spec.spec2.text.empty()) {
-      StatusOr<SharedSpecArtifactPtr> next_artifact =
-          cache.Get(point.app, spec.spec2.text, graph, SpecArtifactStage::kCompiled);
-      if (!next_artifact.ok()) {
-        row.error = next_artifact.status().ToString();
-        return row;
-      }
-      MonitorImage installed;
-      installed.header = {SpecHash(point.spec_text), 1};
-      installed.artifact = artifact.value();
-      MonitorImage next;
-      next.header = {SpecHash(spec.spec2.text), 2};
-      next.artifact = next_artifact.value();
-      swap = std::make_unique<HotSwapController>(&runtime.value()->monitors(),
-                                                 std::move(installed), &graph);
-      swap->set_flight(recorder.get());
-      if (const Status queued = swap->RequestSwap(std::move(next), spec.swap_at);
-          !queued.ok()) {
-        row.error = queued.ToString();
-        return row;
-      }
-      runtime.value()->kernel().set_swap_hook(swap.get());
-    }
-    row.result = runtime.value()->Run();
-    row.monitor_events = runtime.value()->monitors().events_processed();
-    row.violations = runtime.value()->monitors().violations_reported();
-    artifacts.artemis = runtime.value().get();
-    row.ok = true;
-    if (swap != nullptr) {
-      const SwapStats& ss = swap->stats();
-      row.metrics.emplace_back("swap_applied", static_cast<double>(ss.swaps_applied));
-      row.metrics.emplace_back("swap_attempts", static_cast<double>(ss.attempts_started));
-      row.metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss.bytes_staged));
-      row.metrics.emplace_back("swap_epoch", static_cast<double>(swap->installed().epoch));
-    }
-    row.stats = aggregator;
-    if (spec.post_run) {
-      spec.post_run(point, artifacts, &row);
-    }
-  } else {
-    KernelOptions options;
-    options.seed = point.seed;
-    options.max_wall_time = spec.max_wall;
-    options.observer = observer;
-    options.flight = recorder.get();
-    if (observer != nullptr) {
-      mcu->set_observer(observer);
-    }
-    StatusOr<std::unique_ptr<MayflyRuntime>> runtime =
-        MayflyRuntime::Create(&graph, artifact.value()->ast, mcu.get(), options);
-    if (!runtime.ok()) {
-      row.error = runtime.status().ToString();
-      return row;
-    }
-    row.result = runtime.value()->Run();
-    artifacts.mayfly = runtime.value().get();
-    row.ok = true;
-    row.stats = aggregator;
-    if (spec.post_run) {
-      spec.post_run(point, artifacts, &row);
-    }
+    setup.replacement = std::move(next).value();
+    setup.swap_at = spec.swap_at;
   }
-  if (recorder != nullptr && row.ok) {
+
+  StatusOr<Device> device = BuildDevice(graph, artifact.value(), std::move(setup));
+  if (!device.ok()) {
+    row.error = device.status().ToString();
+    return row;
+  }
+  row.result = device.value().Run();
+  row.ok = true;
+  if (const ArtemisRuntime* runtime = device.value().artemis(); runtime != nullptr) {
+    row.monitor_events = runtime->monitors().events_processed();
+    row.violations = runtime->monitors().violations_reported();
+  }
+  if (const SwapStats* ss = device.value().swap_stats(); ss != nullptr) {
+    row.metrics.emplace_back("swap_applied", static_cast<double>(ss->swaps_applied));
+    row.metrics.emplace_back("swap_attempts", static_cast<double>(ss->attempts_started));
+    row.metrics.emplace_back("swap_staged_bytes", static_cast<double>(ss->bytes_staged));
+    row.metrics.emplace_back("swap_epoch", static_cast<double>(device.value().image_epoch()));
+  }
+  row.stats = aggregator;
+  if (spec.post_run) {
+    const SweepRunArtifacts artifacts{.artemis = device.value().artemis(),
+                                      .mayfly = device.value().mayfly(),
+                                      .graph = &graph,
+                                      .events = &events.events()};
+    spec.post_run(point, artifacts, &row);
+  }
+  if (const flight::FlightRecorder* recorder = device.value().recorder(); recorder != nullptr) {
     const flight::FlightStats& fs = recorder->stats();
     row.flight_enabled = true;
     row.flight_sealed = fs.records_sealed;
@@ -535,32 +476,26 @@ StatusOr<SweepOutcome> RunSweep(const SweepSpec& spec, int jobs, CompiledSpecCac
         return gate;
       }
     }
-    // Swap gate: the replacement spec must analyze clean on its own, and
-    // every (running spec -> spec2) migration must pass ART015/ART016.
+    // Swap gate: every (running spec -> spec2) delivery must pass the
+    // replacement gate, the same one `artemisc swap` runs. Unbuildable
+    // specs become per-point error rows instead.
+    StatusOr<MonitorImage> next = Status::Invalid("no spec2");
     if (!spec.spec2.text.empty()) {
-      const Status gate =
-          PreAnalyzeSpec("sweep", spec.spec2.label, spec.spec2.text, graph,
-                         spec.budgets, spec.charges, spec.flight, spec.flight_bytes);
-      if (!gate.ok()) {
-        return gate;
+      next = BuildMonitorImage(spec.spec2.text, graph, 2);
+    }
+    for (std::size_t i = 0; next.ok() && i < seen.size(); ++i) {
+      StatusOr<MonitorImage> installed = BuildMonitorImage(seen[i], graph, 1);
+      if (!installed.ok()) {
+        continue;
       }
-      const AnalysisOptions options =
-          GateOptions(spec.budgets, spec.charges, spec.flight, spec.flight_bytes);
-      for (const std::string& text : seen) {
-        StatusOr<MonitorImage> old_image = BuildMonitorImage(text, graph, 1);
-        StatusOr<MonitorImage> new_image = BuildMonitorImage(spec.spec2.text, graph, 2);
-        if (!old_image.ok() || !new_image.ok()) {
-          continue;  // Unbuildable specs become per-point error rows.
-        }
-        const DiagnosticEngine engine =
-            AnalyzeSwap(old_image.value(), new_image.value(), graph, options);
-        if (engine.HasErrors()) {
-          return Status::Invalid(
-              "sweep: hot swap to spec '" + spec.spec2.label + "' found " +
-              std::to_string(engine.ErrorCount()) +
-              " error(s); fix the migrate block or pass --no-analyze\n" +
-              engine.RenderText(spec.spec2.label));
-        }
+      const DiagnosticEngine engine = AnalyzeReplacement(
+          installed.value(), next.value(), graph,
+          GateOptions(spec.budgets, spec.charges, spec.flight, spec.flight_bytes));
+      if (engine.HasErrors()) {
+        return Status::Invalid("sweep: hot swap to spec '" + spec.spec2.label + "' found " +
+                               std::to_string(engine.ErrorCount()) +
+                               " error(s); fix the spec or pass --no-analyze\n" +
+                               engine.RenderText(spec.spec2.label));
       }
     }
   }

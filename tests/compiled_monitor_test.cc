@@ -788,10 +788,8 @@ TEST(CompiledBackendTest, BuildMonitorSetParity) {
   for (FuzzApp& app : FuzzApps()) {
     auto parsed = SpecParser::Parse(app.spec);
     ASSERT_TRUE(parsed.ok());
-    auto interp_set = BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kInterpreted,
-                                      {}, ArbitrationPolicy::kSeverity);
-    auto compiled_set = BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kCompiled,
-                                        {}, ArbitrationPolicy::kSeverity);
+    auto interp_set = BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kInterpreted);
+    auto compiled_set = BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kCompiled);
     ASSERT_TRUE(interp_set.ok()) << app.name;
     ASSERT_TRUE(compiled_set.ok()) << app.name;
     EXPECT_EQ(interp_set.value()->size(), compiled_set.value()->size()) << app.name;

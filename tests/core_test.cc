@@ -4,6 +4,7 @@
 
 #include "src/apps/health_app.h"
 #include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/core/runtime.h"
 #include "src/core/stats.h"
 
@@ -32,21 +33,17 @@ TEST(ArtemisRuntimeTest, CreateRejectsEmptyGraph) {
   EXPECT_FALSE(runtime.ok());
 }
 
-TEST(ArtemisRuntimeTest, WarningsAreErrorsMode) {
+TEST(ArtemisRuntimeTest, KeepsValidationWarnings) {
   HealthApp app = BuildHealthApp();
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  ArtemisConfig config;
-  config.warnings_are_errors = true;
-  // maxDuration below accel's work time triggers a warning.
+  // send never completes before bodyTemp on any path: a warning, not an
+  // error, so the runtime is built and keeps it.
   auto runtime = ArtemisRuntime::Create(
-      &app.graph, "accel: { maxDuration: 1ms onFail: skipTask; }", mcu.get(), config);
-  EXPECT_FALSE(runtime.ok());
-  // Default mode keeps the warning but succeeds.
-  auto mcu2 = PlatformBuilder().WithContinuousPower().Build();
-  auto lenient = ArtemisRuntime::Create(
-      &app.graph, "accel: { maxDuration: 1ms onFail: skipTask; }", mcu2.get(), {});
-  ASSERT_TRUE(lenient.ok());
-  EXPECT_FALSE(lenient.value()->validation_warnings().empty());
+      &app.graph, "bodyTemp: { collect: 1 dpTask: send onFail: restartPath; }", mcu.get(), {});
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  ASSERT_EQ(runtime.value()->validation_warnings().size(), 1u);
+  EXPECT_NE(runtime.value()->validation_warnings()[0].find("never completes before"),
+            std::string::npos);
 }
 
 TEST(ArtemisRuntimeTest, RunsHealthAppOnContinuousPower) {
@@ -199,6 +196,131 @@ TEST(StatsTest, EnergyUnitsScale) {
 
 TEST(ArtemisRuntimeTest, TextProxyLargerThanMayfly) {
   EXPECT_EQ(ArtemisRuntime::RuntimeTextBytes(), 1512u);
+}
+
+SharedSpecArtifactPtr HealthArtifact(const AppGraph& graph, SpecArtifactStage stage,
+                                     const std::string& text = HealthAppSpec()) {
+  StatusOr<SharedSpecArtifactPtr> artifact = BuildSpecArtifact(text, graph, stage);
+  EXPECT_TRUE(artifact.ok()) << artifact.status().ToString();
+  return artifact.value();
+}
+
+// The device over an artifact runs exactly what a hand-built runtime over
+// the same artifact and power supply runs.
+TEST(DeviceTest, MatchesAHandBuiltRuntime) {
+  HealthApp app = BuildHealthApp();
+  const SharedSpecArtifactPtr artifact = HealthArtifact(app.graph, SpecArtifactStage::kCompiled);
+  auto mcu = PlatformBuilder().WithFixedCharge(19'500.0, 6 * kMinute - 1 * kSecond).Build();
+  ArtemisConfig config;
+  config.backend = MonitorBackend::kCompiled;
+  config.kernel.max_wall_time = 12 * kHour;
+  auto runtime = ArtemisRuntime::CreateFromArtifact(&app.graph, artifact, mcu.get(), config);
+  ASSERT_TRUE(runtime.ok());
+  const KernelRunResult expected = runtime.value()->Run();
+
+  DeviceSetup setup;
+  setup.backend = MonitorBackend::kCompiled;
+  setup.budget = 19'500.0;
+  setup.charge = 6 * kMinute - 1 * kSecond;
+  setup.kernel.max_wall_time = 12 * kHour;
+  StatusOr<Device> device = BuildDevice(app.graph, artifact, std::move(setup));
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  const KernelRunResult actual = device.value().Run();
+  EXPECT_TRUE(actual.completed);
+  EXPECT_GT(actual.stats.reboots, 0u);
+  EXPECT_EQ(actual.finished_at, expected.finished_at);
+  EXPECT_EQ(actual.stats.reboots, expected.stats.reboots);
+  EXPECT_EQ(actual.stats.TotalEnergy(), expected.stats.TotalEnergy());
+  EXPECT_EQ(device.value().artemis()->monitors().violations_reported(),
+            runtime.value()->monitors().violations_reported());
+  EXPECT_EQ(device.value().mayfly(), nullptr);
+  EXPECT_EQ(device.value().recorder(), nullptr);
+  EXPECT_EQ(device.value().swap_stats(), nullptr);
+  EXPECT_EQ(device.value().image_epoch(), 1u);
+}
+
+// The observer reaches the Mcu (sim.*), the kernel and the monitors.
+TEST(DeviceTest, ObserverReachesEveryLayer) {
+  HealthApp app = BuildHealthApp();
+  obs::EventBus bus;
+  obs::CollectingSink sink;
+  bus.AddSink(&sink);
+  DeviceSetup setup;
+  setup.budget = 19'500.0;
+  setup.charge = 6 * kMinute - 1 * kSecond;
+  setup.observer = &bus;
+  StatusOr<Device> device =
+      BuildDevice(app.graph, HealthArtifact(app.graph, SpecArtifactStage::kAst), std::move(setup));
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  device.value().Run();
+  bool power_fail = false;
+  bool verdict = false;
+  bool boot = false;
+  for (const obs::Event& e : sink.events()) {
+    power_fail |= e.kind == obs::Kind::kSimPowerFail;
+    verdict |= e.kind == obs::Kind::kMonitorVerdict;
+    boot |= e.kind == obs::Kind::kKernelBoot;
+  }
+  EXPECT_TRUE(power_fail);
+  EXPECT_TRUE(verdict);
+  EXPECT_TRUE(boot);
+}
+
+// A replacement is delivered as epoch 2 over epoch 1, with the recorder
+// sealing the swap; the headers hash each artifact's text.
+TEST(DeviceTest, HotSwapsTheReplacementWithTheRecorderAttached) {
+  HealthApp app = BuildHealthApp();
+  DeviceSetup setup;
+  setup.backend = MonitorBackend::kCompiled;
+  setup.budget = 19'500.0;
+  setup.charge = 6 * kMinute - 1 * kSecond;
+  setup.kernel.max_wall_time = 12 * kHour;
+  setup.flight = flight::FlightLevel::kFull;
+  setup.replacement = HealthArtifact(app.graph, SpecArtifactStage::kCompiled,
+                                     HealthAppSpec() + "\n// v2\n");
+  setup.swap_at = 2 * kMinute;
+  StatusOr<Device> device = BuildDevice(
+      app.graph, HealthArtifact(app.graph, SpecArtifactStage::kCompiled), std::move(setup));
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  EXPECT_TRUE(device.value().Run().completed);
+  ASSERT_NE(device.value().swap_stats(), nullptr);
+  EXPECT_EQ(device.value().swap_stats()->swaps_applied, 1u);
+  EXPECT_EQ(device.value().image_epoch(), 2u);
+  ASSERT_NE(device.value().recorder(), nullptr);
+  EXPECT_GT(device.value().recorder()->stats().records_sealed, 0u);
+}
+
+TEST(DeviceTest, RunsTheMayflyBaseline) {
+  HealthApp app = BuildHealthApp();
+  DeviceSetup setup;
+  setup.system = DeviceSystem::kMayfly;
+  StatusOr<Device> device =
+      BuildDevice(app.graph, HealthArtifact(app.graph, SpecArtifactStage::kAst), std::move(setup));
+  ASSERT_TRUE(device.ok()) << device.status().ToString();
+  EXPECT_TRUE(device.value().Run().completed);
+  EXPECT_EQ(device.value().artemis(), nullptr);
+  ASSERT_NE(device.value().mayfly(), nullptr);
+  EXPECT_GT(device.value().mayfly()->checker().rule_count(), 0u);
+}
+
+TEST(DeviceTest, RejectsANullArtifactAndAnUnservableBackend) {
+  HealthApp app = BuildHealthApp();
+  EXPECT_FALSE(BuildDevice(app.graph, nullptr, DeviceSetup{}).ok());
+  DeviceSetup setup;
+  setup.backend = MonitorBackend::kCompiled;
+  EXPECT_FALSE(
+      BuildDevice(app.graph, HealthArtifact(app.graph, SpecArtifactStage::kAst), std::move(setup))
+          .ok());
+}
+
+// Only a compiled ARTEMIS monitor set has the versioned image a swap needs.
+TEST(DeviceTest, RejectsAReplacementWithoutTheCompiledBackend) {
+  HealthApp app = BuildHealthApp();
+  const SharedSpecArtifactPtr artifact = HealthArtifact(app.graph, SpecArtifactStage::kCompiled);
+  DeviceSetup setup;
+  setup.backend = MonitorBackend::kInterpreted;
+  setup.replacement = artifact;
+  EXPECT_FALSE(BuildDevice(app.graph, artifact, std::move(setup)).ok());
 }
 
 }  // namespace

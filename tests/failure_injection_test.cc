@@ -88,8 +88,7 @@ TEST_P(FailureInjectionTest, KernelInvariantsUnderRandomPower) {
     sink: { maxTries: 6 onFail: skipPath; }
   )");
   ASSERT_TRUE(parsed.ok());
-  auto monitors = std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin,
-                                            {}, ArbitrationPolicy::kSeverity))
+  auto monitors = std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin))
                       .value();
   RecordingChecker recorder(monitors.get());
 

@@ -67,7 +67,9 @@ TEST(MayflyFrontendTest, RunsEndToEndThroughArtemisRuntime) {
   auto spec = MayflyFrontend::Parse("collect(bodyTemp -> calcAvg, 10);");
   ASSERT_TRUE(spec.ok());
   auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  auto runtime = ArtemisRuntime::CreateFromAst(&app.graph, spec.value(), mcu.get(), {});
+  auto artifact = BuildSpecArtifactFromAst(spec.value(), app.graph, SpecArtifactStage::kAst);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  auto runtime = ArtemisRuntime::CreateFromArtifact(&app.graph, artifact.value(), mcu.get(), {});
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_TRUE(runtime.value()->Run().completed);
   EXPECT_EQ(runtime.value()->kernel().channels().CompletionCount(app.body_temp), 10u);

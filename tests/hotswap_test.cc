@@ -151,6 +151,25 @@ TEST(MigrationPlanTest, UnpairedMachinesDropAndStartFreshWithWarnings) {
   EXPECT_GE(CountSeverity(engine, DiagSeverity::kWarning), 1u);
 }
 
+// Findings render against the replacement spec, so the dropped installed
+// machine carries no span there; its installed position is in the note.
+TEST(MigrationPlanTest, DroppedInstalledMachineIsPlacedInTheNote) {
+  HealthApp app = BuildHealthApp();
+  const MonitorImage v1 = MustImage(kSpecMic, app.graph, 1);
+  const MonitorImage v2 = MustImage(kSpecAccel, app.graph, 2);
+  DiagnosticEngine engine;
+  PlanMigration(v1, v2, app.graph, &engine);
+  ASSERT_EQ(engine.diagnostics().size(), 1u) << engine.RenderText("v2");
+  const Diagnostic& dropped = engine.diagnostics()[0];
+  EXPECT_EQ(dropped.machine, "maxTries_micSense");
+  EXPECT_FALSE(dropped.span.valid());
+  EXPECT_EQ(dropped.note.rfind("declared at " + v1.artifact->machines[0].source.ToString() +
+                                   " of the installed spec;",
+                               0),
+            0u)
+      << dropped.note;
+}
+
 TEST(MigrationPlanTest, ExplicitMachineRuleCarriesARenamedMachine) {
   HealthApp app = BuildHealthApp();
   const MonitorImage v1 = MustImage(kSpecMic, app.graph, 1);
@@ -272,6 +291,20 @@ TEST(AnalyzeSwapTest, WindowInfeasibilityScalesWithBudgets) {
         d.code == diag::kSwapWindowInfeasible && d.severity == DiagSeverity::kWarning;
   }
   EXPECT_TRUE(saw_016_warning) << partial.RenderText("swap");
+}
+
+// The delivery gate also runs the analyzer over the replacement alone: a
+// period below accel's own work time migrates fine but can never hold.
+TEST(AnalyzeReplacementTest, AddsTheReplacementsAnalyzerFindings) {
+  HealthApp app = BuildHealthApp();
+  const MonitorImage v1 = MustImage(kSpecAccel, app.graph, 1);
+  const MonitorImage v2 =
+      MustImage("accel: { period: 1s onFail: restartTask; }\n", app.graph, 2);
+  const AnalysisOptions options;
+  EXPECT_FALSE(AnalyzeSwap(v1, v2, app.graph, options).HasErrors());
+  const DiagnosticEngine gate = AnalyzeReplacement(v1, v2, app.graph, options);
+  ASSERT_TRUE(gate.HasErrors());
+  EXPECT_EQ(gate.diagnostics()[0].code, diag::kTimeBoundInfeasible) << gate.RenderText("v2");
 }
 
 // ----------------------------------------------------------- controller --

@@ -471,8 +471,7 @@ std::unique_ptr<Mcu> TestMcu(EnergyUj budget = 1e9) {
 std::unique_ptr<MonitorSet> HealthMonitors(MonitorBackend backend) {
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse(HealthAppSpec());
-  return std::move(BuildMonitorSet(parsed.value(), app.graph, backend, {},
-                                   ArbitrationPolicy::kSeverity))
+  return std::move(BuildMonitorSet(parsed.value(), app.graph, backend))
       .value();
 }
 
@@ -524,8 +523,7 @@ TEST(MonitorSetTest, ResumesAfterPowerFailureWithoutDoubleStepping) {
   // set. The maxTries counter must still advance exactly once per event.
   HealthApp app = BuildHealthApp();
   auto parsed = SpecParser::Parse("accel: { maxTries: 3 onFail: skipPath; }");
-  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin, {},
-                                       ArbitrationPolicy::kSeverity))
+  auto set = std::move(BuildMonitorSet(parsed.value(), app.graph, MonitorBackend::kBuiltin))
                  .value();
   auto mcu = TestMcu(/*budget=*/2.0);  // A couple of microjoules per period.
   set->HardReset(*mcu);
@@ -562,8 +560,7 @@ TEST(MonitorSetTest, SeverityArbitrationAcrossMonitors) {
   graph.AddPath({0});
   auto parsed = SpecParser::Parse(
       "t: { maxTries: 1 onFail: skipTask; minEnergy: 0.99 onFail: completePath; }");
-  auto set = std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin, {},
-                                       ArbitrationPolicy::kSeverity))
+  auto set = std::move(BuildMonitorSet(parsed.value(), graph, MonitorBackend::kBuiltin))
                  .value();
   auto mcu = TestMcu();
   set->HardReset(*mcu);

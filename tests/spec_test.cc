@@ -298,15 +298,6 @@ TEST_F(ValidatorTest, WarnsOnMaxAttemptForNonTimeProperty) {
   EXPECT_NE(result.warnings[0].find("maxAttempt"), std::string::npos);
 }
 
-TEST_F(ValidatorTest, WarnsOnUnsatisfiableMaxDuration) {
-  // accel's modelled work is 2 s; a 10 ms budget can never pass.
-  const ValidationResult result =
-      Validate("accel: { maxDuration: 10ms onFail: skipTask; }");
-  EXPECT_TRUE(result.ok());
-  ASSERT_FALSE(result.warnings.empty());
-  EXPECT_NE(result.warnings[0].find("never be satisfied"), std::string::npos);
-}
-
 TEST_F(ValidatorTest, WarnsWhenDependencyNeverPrecedes) {
   // send never completes before bodyTemp anywhere.
   const ValidationResult result =

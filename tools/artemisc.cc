@@ -30,7 +30,8 @@
 // spans a swap epoch (the timeline stitches the cross-version history
 // through the sealed swap record). `swap` runs the app with <spec-v1>
 // installed as the epoch-1 monitor image, delivers <spec-v2> over the air as
-// epoch 2 (after the ART015/ART016 swap analyzer gate), and hot-swaps it at
+// epoch 2 (after the replacement gate: the analyzer over <spec-v2>, then the
+// ART015/ART016 swap analyzer), and hot-swaps it at
 // a task-boundary quiescence point via the crash-consistent two-phase
 // protocol (src/swap, docs/hotswap.md); `check --spec2 <file>` runs the same
 // static gate without simulating.
@@ -51,17 +52,14 @@
 
 #include "src/analysis/analyzer.h"
 #include "src/base/units.h"
-#include "src/core/builder.h"
+#include "src/core/device.h"
 #include "src/core/obs_stats.h"
-#include "src/core/runtime.h"
 #include "src/core/stats.h"
 #include "src/flight/decoder.h"
 #include "src/flight/forensics.h"
 #include "src/flight/recorder.h"
 #include "src/ir/codegen_c.h"
 #include "src/ir/codegen_dot.h"
-#include "src/ir/lowering.h"
-#include "src/mayfly/mayfly.h"
 #include "src/obs/bus.h"
 #include "src/obs/jsonl_sink.h"
 #include "src/obs/perfetto_sink.h"
@@ -69,7 +67,6 @@
 #include "src/spec/app_lang.h"
 #include "src/spec/mayfly_frontend.h"
 #include "src/spec/parser.h"
-#include "src/spec/validator.h"
 #include "src/swap/hotswap.h"
 #include "src/fleet/fleet.h"
 #include "src/sweep/sweep.h"
@@ -310,22 +307,58 @@ std::vector<std::string> TaskNames(const AppGraph& graph) {
   return names;
 }
 
-// `budget` uJ per on-period after `charge` of charging; 0 = always-on power.
-std::unique_ptr<Mcu> MakeMcu(EnergyUj budget, SimDuration charge) {
-  PlatformBuilder platform;
-  if (charge != 0) {
-    platform.WithFixedCharge(budget, charge);
-  } else {
-    platform.WithContinuousPower();
-  }
-  return platform.Build();
-}
-
 StatusOr<SpecAst> ParseSpec(const Args& args, const std::string& source) {
   if (args.mayfly_lang) {
     return MayflyFrontend::Parse(source);
   }
   return SpecParser::Parse(source);
+}
+
+// The app's spec in the syntax --mayfly-lang selects, built up to `stage`.
+// Only the .prop syntax keeps its text, which image headers hash.
+StatusOr<SharedSpecArtifactPtr> BuildAppArtifact(const Args& args, const DemoApp& app,
+                                                 SpecArtifactStage stage) {
+  if (!args.mayfly_lang) {
+    return BuildSpecArtifact(app.spec, app.graph, stage);
+  }
+  StatusOr<SpecAst> parsed = MayflyFrontend::Parse(app.spec);
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
+  return BuildSpecArtifactFromAst(parsed.value(), app.graph, stage);
+}
+
+// The app's spec in the syntax --mayfly-lang selects, validated and
+// lowered; null, with the error on stderr, when a step fails.
+SharedSpecArtifactPtr LowerAppSpec(const Args& args, const DemoApp& app) {
+  StatusOr<SpecAst> parsed = ParseSpec(args, app.spec);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
+    return nullptr;
+  }
+  StatusOr<SharedSpecArtifactPtr> artifact =
+      BuildSpecArtifactFromAst(parsed.value(), app.graph, SpecArtifactStage::kLowered);
+  if (!artifact.ok()) {
+    std::fprintf(stderr, "spec error: %s\n", artifact.status().ToString().c_str());
+    return nullptr;
+  }
+  return artifact.value();
+}
+
+// The device `setup` describes, over the app's spec.
+StatusOr<Device> BuildAppDevice(const Args& args, const DemoApp& app, DeviceSetup setup) {
+  StatusOr<SharedSpecArtifactPtr> artifact = BuildAppArtifact(args, app, StageForDevice(setup));
+  if (!artifact.ok()) {
+    return artifact.status();
+  }
+  return BuildDevice(app.graph, artifact.value(), std::move(setup));
+}
+
+// Reports a device that could not be built. A flight ring that does not
+// fit the FRAM is a bad --flight-bytes value, so a usage error.
+int SetupError(const Status& status) {
+  std::fprintf(stderr, "setup error: %s\n", status.ToString().c_str());
+  return status.code() == StatusCode::kResourceExhausted ? kExitUsage : kExitFindings;
 }
 
 // Deployment axes for the whole-system analyzer passes (ART009-ART014).
@@ -352,35 +385,24 @@ int RunCheck(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto parsed = ParseSpec(args, app->spec);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
-    return kExitFindings;
-  }
-  const ValidationResult validation = SpecValidator::Validate(parsed.value(), app->graph);
-  if (!validation.ok()) {
-    std::fprintf(stderr, "validation error: %s\n", validation.status.ToString().c_str());
+  const SharedSpecArtifactPtr spec = LowerAppSpec(args, *app);
+  if (spec == nullptr) {
     return kExitFindings;
   }
   // With --json, stdout carries only the diagnostics array; the human
   // summary moves to stderr.
   FILE* chatter = args.json ? stderr : stdout;
-  for (const std::string& warning : validation.warnings) {
+  for (const std::string& warning : spec->validation_warnings) {
     std::fprintf(chatter, "warning: %s\n", warning.c_str());
   }
-  auto machines = LowerSpec(parsed.value(), app->graph, {});
-  if (!machines.ok()) {
-    std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
-    return kExitFindings;
-  }
   const AnalysisOptions options = AnalysisOptionsFor(args);
-  const DiagnosticEngine engine = AnalyzeMachines(machines.value(), app->graph, options);
+  const DiagnosticEngine engine = AnalyzeMachines(spec->machines, app->graph, options);
   std::vector<Diagnostic> diagnostics = engine.diagnostics();
   if (!args.json) {
     std::printf("%s", engine.RenderText(args.spec_path).c_str());
   }
   std::fprintf(chatter, "analyzer: %zu error(s), %zu warning(s) across %zu machine(s)\n",
-               engine.ErrorCount(), engine.WarningCount(), machines.value().size());
+               engine.ErrorCount(), engine.WarningCount(), spec->machines.size());
   std::size_t errors = engine.ErrorCount();
   // With --json, stdout gets one array of every diagnostic found, also when
   // the swap gate below stops early.
@@ -391,8 +413,9 @@ int RunCheck(const Args& args) {
     return code;
   };
   // --spec2: the hot-swap gate. Treats this spec as the installed epoch-1
-  // image and --spec2 as the epoch-2 replacement, then runs the migration
-  // planner (ART015) and swap-window feasibility pass (ART016).
+  // image and --spec2 as the epoch-2 replacement, then runs the replacement
+  // gate `swap` and `sweep --spec2` run: the analyzer over --spec2, the
+  // migration planner (ART015) and the swap-window feasibility pass (ART016).
   if (!args.spec2_path.empty()) {
     const std::optional<std::string> spec2 = ReadFile(args.spec2_path);
     if (!spec2.has_value()) {
@@ -406,7 +429,7 @@ int RunCheck(const Args& args) {
       return finish(kExitFindings);
     }
     const DiagnosticEngine swap =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, options);
+        AnalyzeReplacement(old_image.value(), new_image.value(), app->graph, options);
     diagnostics.insert(diagnostics.end(), swap.diagnostics().begin(), swap.diagnostics().end());
     if (!args.json) {
       std::printf("%s", swap.RenderText(args.spec2_path).c_str());
@@ -416,7 +439,7 @@ int RunCheck(const Args& args) {
     errors += swap.ErrorCount();
   }
   std::fprintf(chatter, "%zu properties across %zu task blocks: %s\n",
-               parsed.value().PropertyCount(), parsed.value().blocks.size(),
+               spec->ast.PropertyCount(), spec->ast.blocks.size(),
                errors == 0 ? "OK" : "INCONSISTENT");
   return finish(errors == 0 ? kExitClean : kExitFindings);
 }
@@ -440,21 +463,11 @@ int RunCodegen(const Args& args, bool dot) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto parsed = ParseSpec(args, app->spec);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
+  const SharedSpecArtifactPtr spec = LowerAppSpec(args, *app);
+  if (spec == nullptr) {
     return kExitFindings;
   }
-  const ValidationResult validation = SpecValidator::Validate(parsed.value(), app->graph);
-  if (!validation.ok()) {
-    std::fprintf(stderr, "validation error: %s\n", validation.status.ToString().c_str());
-    return kExitFindings;
-  }
-  auto machines = LowerSpec(parsed.value(), app->graph, {});
-  if (!machines.ok()) {
-    std::fprintf(stderr, "lowering error: %s\n", machines.status().ToString().c_str());
-    return kExitFindings;
-  }
+  const std::vector<StateMachine>& machines = spec->machines;
   // The analyzer gates code generation: diagnostics go to stderr, and
   // error-severity findings block C emission (override with --no-analyze).
   // The DOT backend still emits, shading dead states/transitions gray.
@@ -462,13 +475,13 @@ int RunCodegen(const Args& args, bool dot) {
   DotAnnotations annotations;
   if (!args.no_analyze) {
     const DiagnosticEngine engine =
-        AnalyzeMachines(machines.value(), app->graph, AnalysisOptionsFor(args));
+        AnalyzeMachines(machines, app->graph, AnalysisOptionsFor(args));
     std::fprintf(stderr, "%s", engine.RenderText(args.spec_path).c_str());
     analyzer_errors = engine.HasErrors();
     annotations = AnnotationsFromDiagnostics(engine.diagnostics());
   }
   if (dot) {
-    std::printf("%s", MachinesToDot(machines.value(), app->graph, &annotations).c_str());
+    std::printf("%s", MachinesToDot(machines, app->graph, &annotations).c_str());
     return analyzer_errors ? kExitFindings : kExitClean;
   }
   if (analyzer_errors) {
@@ -479,7 +492,7 @@ int RunCodegen(const Args& args, bool dot) {
   }
   CodegenOptions options;
   options.immortal_macros = !args.no_immortal;
-  std::printf("%s", CCodeGenerator(options).Generate(machines.value(), app->graph).c_str());
+  std::printf("%s", CCodeGenerator(options).Generate(machines, app->graph).c_str());
   return kExitClean;
 }
 
@@ -491,16 +504,14 @@ int RunProfile(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto mcu = PlatformBuilder().WithContinuousPower().Build();
-  ArtemisConfig config;
-  config.backend = args.backend;
-  auto runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
+  DeviceSetup setup;
+  setup.backend = args.backend;
+  StatusOr<Device> device = BuildAppDevice(args, *app, std::move(setup));
+  if (!device.ok()) {
+    return SetupError(device.status());
   }
-  const KernelRunResult result = runtime.value()->Run();
-  const std::vector<TaskProfile>& profiles = runtime.value()->kernel().profiles();
+  const KernelRunResult result = device.value().Run();
+  const std::vector<TaskProfile>& profiles = device.value().kernel().profiles();
 
   std::vector<TaskId> order;
   for (TaskId t = 0; t < app->graph.task_count(); ++t) {
@@ -527,46 +538,25 @@ int RunSimulate(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto mcu = MakeMcu(args.budget, args.charge);
-
   // The timeline is rendered from the kernel's bus events, so they are
   // only collected when --trace asks for them.
   obs::EventBus bus;
   obs::CollectingSink events;
-  obs::EventBus* observer = nullptr;
+  DeviceSetup setup;
+  setup.system = args.system == "mayfly" ? DeviceSystem::kMayfly : DeviceSystem::kArtemis;
+  setup.backend = args.backend;
+  setup.budget = args.budget;
+  setup.charge = args.charge;
+  setup.kernel.max_wall_time = 12 * kHour;
   if (args.trace) {
     bus.AddSink(&events);
-    observer = &bus;
+    setup.observer = &bus;
   }
-
-  KernelRunResult result;
-  if (args.system == "artemis") {
-    ArtemisConfig config;
-    config.backend = args.backend;
-    config.kernel.max_wall_time = 12 * kHour;
-    config.kernel.observer = observer;
-    auto runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
-    if (!runtime.ok()) {
-      std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-      return kExitFindings;
-    }
-    result = runtime.value()->Run();
-  } else {
-    auto parsed = ParseSpec(args, app->spec);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
-      return kExitFindings;
-    }
-    KernelOptions options;
-    options.max_wall_time = 12 * kHour;
-    options.observer = observer;
-    auto runtime = MayflyRuntime::Create(&app->graph, parsed.value(), mcu.get(), options);
-    if (!runtime.ok()) {
-      std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-      return kExitFindings;
-    }
-    result = runtime.value()->Run();
+  StatusOr<Device> device = BuildAppDevice(args, *app, std::move(setup));
+  if (!device.ok()) {
+    return SetupError(device.status());
   }
+  const KernelRunResult result = device.value().Run();
 
   if (args.trace) {
     std::printf("%s", obs::RenderTimeline(events.events(), TaskNames(app->graph)).c_str());
@@ -590,7 +580,6 @@ int RunTrace(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
-  auto mcu = MakeMcu(args.budget, args.schedule_charge);
   const std::vector<std::string> names = TaskNames(app->graph);
 
   std::ostringstream trace_out;
@@ -614,16 +603,17 @@ int RunTrace(const Args& args) {
     bus.AddSink(&stats);
   }
 
-  ArtemisConfig config;
-  config.backend = args.backend;
-  config.kernel.max_wall_time = 12 * kHour;
-  config.observer = &bus;
-  auto runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
+  DeviceSetup setup;
+  setup.backend = args.backend;
+  setup.budget = args.budget;
+  setup.charge = args.schedule_charge;
+  setup.kernel.max_wall_time = 12 * kHour;
+  setup.observer = &bus;
+  StatusOr<Device> device = BuildAppDevice(args, *app, std::move(setup));
+  if (!device.ok()) {
+    return SetupError(device.status());
   }
-  const KernelRunResult result = runtime.value()->Run();
+  const KernelRunResult result = device.value().Run();
   bus.Flush();
   if (args.format == "stats") {
     trace_out << stats.Render();
@@ -666,73 +656,46 @@ int RunForensics(const Args& args) {
   if (!app.has_value()) {
     return kExitUsage;
   }
+  obs::EventBus bus;
+  obs::CollectingSink capture;
+  bus.AddSink(&capture);
+  DeviceSetup setup;
+  setup.backend = args.backend;
+  setup.budget = args.budget;
+  setup.charge = args.schedule_charge;
+  setup.kernel.max_wall_time = 12 * kHour;
+  setup.observer = &bus;
+  setup.flight = args.flight_level;
+  setup.flight_bytes = args.flight_bytes;
   // --spec2: deliver a hot-swap replacement image mid-run (src/swap,
   // docs/hotswap.md) so the recovered ring spans a swap epoch: `timeline`
   // renders the stitched image-epoch line at the commit point, and `audit`
   // cross-validates records from both images against one obs-bus capture.
-  std::string source2;
+  // The swap needs the versioned on-device image, i.e. the compiled backend.
   if (!args.spec2_path.empty()) {
-    std::optional<std::string> file = ReadFile(args.spec2_path);
-    if (!file.has_value()) {
+    const std::optional<std::string> source2 = ReadFile(args.spec2_path);
+    if (!source2.has_value()) {
       return kExitUsage;
     }
-    source2 = std::move(*file);
-  }
-  auto mcu = MakeMcu(args.budget, args.schedule_charge);
-
-  flight::FlightRecorder recorder(args.flight_bytes, args.flight_level);
-  if (const Status attached = mcu->AttachFlightRecorder(&recorder); !attached.ok()) {
-    std::fprintf(stderr, "artemisc: %s\n", attached.ToString().c_str());
-    return kExitUsage;
-  }
-  obs::EventBus bus;
-  obs::CollectingSink capture;
-  bus.AddSink(&capture);
-
-  ArtemisConfig config;
-  // The swap path needs the versioned on-device image, i.e. the compiled
-  // backend; without --spec2 the user's --backend choice stands.
-  config.backend = args.spec2_path.empty() ? args.backend : MonitorBackend::kCompiled;
-  config.kernel.max_wall_time = 12 * kHour;
-  config.observer = &bus;
-  config.flight = &recorder;
-  StatusOr<std::unique_ptr<ArtemisRuntime>> runtime = Status::Internal("unset");
-  std::optional<HotSwapController> controller;
-  if (args.spec2_path.empty()) {
-    runtime = ArtemisRuntime::Create(&app->graph, app->spec, mcu.get(), config);
-  } else {
-    StatusOr<MonitorImage> old_image = BuildMonitorImage(app->spec, app->graph, 1);
-    if (!old_image.ok()) {
-      std::fprintf(stderr, "spec error: %s\n", old_image.status().ToString().c_str());
+    StatusOr<SharedSpecArtifactPtr> next =
+        BuildSpecArtifact(*source2, app->graph, SpecArtifactStage::kCompiled);
+    if (!next.ok()) {
+      std::fprintf(stderr, "spec2 error: %s\n", next.status().ToString().c_str());
       return kExitFindings;
     }
-    StatusOr<MonitorImage> new_image = BuildMonitorImage(source2, app->graph, 2);
-    if (!new_image.ok()) {
-      std::fprintf(stderr, "spec2 error: %s\n", new_image.status().ToString().c_str());
-      return kExitFindings;
-    }
-    runtime = ArtemisRuntime::CreateFromArtifact(&app->graph, old_image.value().artifact,
-                                                 mcu.get(), config);
-    if (runtime.ok()) {
-      controller.emplace(&runtime.value()->monitors(), std::move(old_image).value(),
-                         &app->graph);
-      controller->set_flight(&recorder);
-      if (const Status queued =
-              controller->RequestSwap(std::move(new_image).value(), args.swap_at.value_or(0));
-          !queued.ok()) {
-        std::fprintf(stderr, "artemisc: %s\n", queued.ToString().c_str());
-        return kExitFindings;
-      }
-      runtime.value()->kernel().set_swap_hook(&*controller);
-    }
+    setup.backend = MonitorBackend::kCompiled;
+    setup.replacement = std::move(next).value();
+    setup.swap_at = args.swap_at.value_or(0);
   }
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
+  const MonitorBackend backend = setup.backend;
+  StatusOr<Device> device = BuildAppDevice(args, *app, std::move(setup));
+  if (!device.ok()) {
+    return SetupError(device.status());
   }
-  const KernelRunResult result = runtime.value()->Run();
+  const KernelRunResult result = device.value().Run();
   bus.Flush();
 
+  const flight::FlightRecorder& recorder = *device.value().recorder();
   StatusOr<std::vector<flight::FlightRecord>> records = flight::DecodeRing(recorder.Image());
   if (!records.ok()) {
     std::fprintf(stderr, "artemisc: flight log corrupt: %s\n",
@@ -744,7 +707,7 @@ int RunForensics(const Args& args) {
   meta.app = AppLabel(args);
   meta.power = args.schedule_charge != 0 ? "fixed-charge" : "always-on";
   meta.schedule = args.schedule;
-  meta.backend = MonitorBackendName(config.backend);
+  meta.backend = MonitorBackendName(backend);
   meta.task_names = TaskNames(app->graph);
 
   std::string rendered;
@@ -776,14 +739,13 @@ int RunForensics(const Args& args) {
                static_cast<unsigned long long>(result.stats.reboots),
                static_cast<unsigned long long>(recorder.stats().records_sealed),
                records.value().size());
-  if (controller.has_value()) {
-    const SwapStats& swap_stats = controller->stats();
+  if (const SwapStats* swap_stats = device.value().swap_stats(); swap_stats != nullptr) {
     std::fprintf(stderr, "forensics: swap epoch=%u %s attempts=%llu failed=%llu\n",
-                 controller->installed().epoch,
-                 swap_stats.swaps_applied > 0 ? "APPLIED" : "NOT APPLIED",
-                 static_cast<unsigned long long>(swap_stats.attempts_started),
-                 static_cast<unsigned long long>(swap_stats.attempts_failed));
-    if (swap_stats.swaps_applied == 0) {
+                 device.value().image_epoch(),
+                 swap_stats->swaps_applied > 0 ? "APPLIED" : "NOT APPLIED",
+                 static_cast<unsigned long long>(swap_stats->attempts_started),
+                 static_cast<unsigned long long>(swap_stats->attempts_failed));
+    if (swap_stats->swaps_applied == 0) {
       clean = false;
     }
   }
@@ -794,8 +756,9 @@ int RunForensics(const Args& args) {
 // docs/hotswap.md): installs <spec-v1> as the epoch-1 monitor image, queues
 // <spec-v2> as the epoch-2 replacement, and runs the app while the kernel
 // delivers the swap at the first task-boundary quiescence point at or after
-// --swap-at. The ART015/ART016 gate runs first and refuses un-migratable
-// images unless --no-analyze.
+// --swap-at. The replacement gate (AnalyzeReplacement, the one `sweep
+// --spec2` runs) comes first and refuses a <spec-v2> that the analyzer
+// rejects or that cannot migrate, unless --no-analyze.
 int RunSwapCmd(const Args& args) {
   std::optional<DemoApp> app = LoadApp(args);
   if (!app.has_value()) {
@@ -818,8 +781,8 @@ int RunSwapCmd(const Args& args) {
 
   FILE* chatter = args.json ? stderr : stdout;
   if (!args.no_analyze) {
-    const DiagnosticEngine engine =
-        AnalyzeSwap(old_image.value(), new_image.value(), app->graph, AnalysisOptionsFor(args));
+    const DiagnosticEngine engine = AnalyzeReplacement(old_image.value(), new_image.value(),
+                                                       app->graph, AnalysisOptionsFor(args));
     if (args.json) {
       std::printf("%s", engine.RenderJson().c_str());
     } else {
@@ -835,45 +798,27 @@ int RunSwapCmd(const Args& args) {
     }
   }
 
-  auto mcu = MakeMcu(args.budget, args.schedule_charge);
-  std::unique_ptr<flight::FlightRecorder> recorder;
-  if (args.flight_level != flight::FlightLevel::kOff) {
-    recorder = std::make_unique<flight::FlightRecorder>(args.flight_bytes, args.flight_level);
-    if (const Status attached = mcu->AttachFlightRecorder(recorder.get()); !attached.ok()) {
-      std::fprintf(stderr, "artemisc: %s\n", attached.ToString().c_str());
-      return kExitUsage;
-    }
+  DeviceSetup setup;
+  setup.backend = MonitorBackend::kCompiled;  // The only versioned backend.
+  setup.budget = args.budget;
+  setup.charge = args.schedule_charge;
+  setup.kernel.max_wall_time = 12 * kHour;
+  setup.flight = args.flight_level;
+  setup.flight_bytes = args.flight_bytes;
+  setup.replacement = new_image.value().artifact;
+  setup.swap_at = args.swap_at.value_or(0);
+  StatusOr<Device> device =
+      BuildDevice(app->graph, old_image.value().artifact, std::move(setup));
+  if (!device.ok()) {
+    return SetupError(device.status());
   }
+  const KernelRunResult result = device.value().Run();
 
-  ArtemisConfig config;
-  config.backend = MonitorBackend::kCompiled;  // The only versioned backend.
-  config.kernel.max_wall_time = 12 * kHour;
-  config.flight = recorder.get();
-  const std::uint64_t old_hash = old_image.value().header.spec_hash;
-  const std::uint64_t new_hash = new_image.value().header.spec_hash;
-  auto runtime = ArtemisRuntime::CreateFromArtifact(&app->graph, old_image.value().artifact,
-                                                    mcu.get(), config);
-  if (!runtime.ok()) {
-    std::fprintf(stderr, "setup error: %s\n", runtime.status().ToString().c_str());
-    return kExitFindings;
-  }
-  HotSwapController controller(&runtime.value()->monitors(), std::move(old_image).value(),
-                               &app->graph);
-  controller.set_flight(recorder.get());
-  if (const Status queued =
-          controller.RequestSwap(std::move(new_image).value(), args.swap_at.value_or(0));
-      !queued.ok()) {
-    std::fprintf(stderr, "artemisc: %s\n", queued.ToString().c_str());
-    return kExitFindings;
-  }
-  runtime.value()->kernel().set_swap_hook(&controller);
-  const KernelRunResult result = runtime.value()->Run();
-
-  const SwapStats& stats = controller.stats();
+  const SwapStats& stats = *device.value().swap_stats();
   std::fprintf(chatter, "swap: %016llx (epoch 1) -> %016llx (epoch %u): %s\n",
-               static_cast<unsigned long long>(old_hash),
-               static_cast<unsigned long long>(new_hash), controller.installed().epoch,
-               stats.swaps_applied > 0 ? "APPLIED" : "NOT APPLIED");
+               static_cast<unsigned long long>(old_image.value().header.spec_hash),
+               static_cast<unsigned long long>(new_image.value().header.spec_hash),
+               device.value().image_epoch(), stats.swaps_applied > 0 ? "APPLIED" : "NOT APPLIED");
   std::fprintf(chatter,
                "swap: attempts=%llu failed=%llu staged_bytes=%llu fallback_commits=%llu\n",
                static_cast<unsigned long long>(stats.attempts_started),

@@ -10,7 +10,8 @@
 #      under examples/specs/bad/, each reporting its headline ART0xx code
 #      under the deployment axes that trigger it. The hot-swap gate
 #      (`check --spec2`, ART015/ART016) runs the same way over the swap
-#      fixtures and an infeasible swap window.
+#      fixtures and an infeasible swap window, and `swap` must refuse a
+#      replacement that the analyzer rejects on its own (ART010).
 #   4. Golden-trace gate: `artemisc trace` of the health app under 6-minute
 #      charging must be byte-identical to tests/golden/trace/health_6min.jsonl
 #      (checked with `artemisc trace diff`); likewise `artemisc forensics
@@ -121,6 +122,8 @@ check_dirty "bad/war_hazard.prop" ART013 "${specs}/bad/war_hazard.prop" \
   --app health --no-immortal
 check_dirty "bad/flight_erosion.prop" ART014 "${specs}/bad/flight_erosion.prop" \
   --app health --flight full --flight-bytes 20
+check_dirty "bad/unmeetable_period.prop" ART010 "${specs}/bad/unmeetable_period.prop" \
+  --app health
 # Hot-swap gate (docs/hotswap.md): the positional spec is the installed
 # image, --spec2 the over-the-air replacement (ART015/ART016).
 check_clean "health.prop -> health.prop (swap)" "${specs}/health.prop" --app health \
@@ -131,6 +134,15 @@ check_dirty "bad/swap_unknown_rule.prop (swap)" ART015 "${specs}/health.prop" \
   --app health --spec2 "${specs}/bad/swap_unknown_rule.prop"
 check_dirty "health.prop (swap, 1 uJ window)" ART016 "${specs}/health.prop" \
   --app health --spec2 "${specs}/health.prop" --budgets 1
+# `swap` delivers only what the analyzer accepts: the replacement must
+# analyze clean on its own, as `sweep --spec2` demands.
+swap_out="$("${artemisc}" swap "${specs}/health.prop" "${specs}/bad/unmeetable_period.prop" \
+  --app health --json 2> /dev/null)" && swap_rc=0 || swap_rc=$?
+if [[ "${swap_rc}" -ne 1 ]] || ! grep -q '"code": "ART010"' <<< "${swap_out}"; then
+  echo "CI FAIL: swap to bad/unmeetable_period.prop should exit 1 reporting ART010" >&2
+  exit 1
+fi
+echo "ok: swap to bad/unmeetable_period.prop reports ART010 and is refused"
 
 echo "== [4/11] Golden-trace regression =="
 # The exported observability stream is deterministic: a fresh run of the
